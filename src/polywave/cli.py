@@ -18,6 +18,7 @@ from . import fwm as fwm_mod
 from . import scenario as sc
 from . import traceio
 from .geometry import GeometryError
+from .traceio import fmt_float
 from .waveguide import SlabSpec, solve_te_slab_modes
 
 EXIT_OK = 0
@@ -25,10 +26,6 @@ EXIT_CONFIG = 2
 EXIT_GEOMETRY = 3
 EXIT_SCHEMA = 4
 EXIT_SPEC = 5
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 def _fmt_c(z: complex) -> str:
@@ -118,9 +115,9 @@ def cmd_coupler(args) -> int:
     for i in range(2):
         for j in range(2):
             print(f"T{i}{j} = {_fmt_c(total[i, j])}")
-    print(f"unitarity = {_fmt(unit)}")
-    print(f"P1 = {_fmt(abs(y[0]) ** 2)}")
-    print(f"P2 = {_fmt(abs(y[1]) ** 2)}")
+    print(f"unitarity = {fmt_float(unit)}")
+    print(f"P1 = {fmt_float(abs(y[0]) ** 2)}")
+    print(f"P2 = {fmt_float(abs(y[1]) ** 2)}")
     return EXIT_OK
 
 
@@ -133,8 +130,8 @@ def cmd_slab_modes(args) -> int:
     print("# order parity beta kappa_t gamma residual")
     for m in modes:
         print(
-            f"{m.order} {m.parity} {_fmt(m.beta)} {_fmt(m.kappa_t)} "
-            f"{_fmt(m.gamma)} {_fmt(m.residual)}"
+            f"{m.order} {m.parity} {fmt_float(m.beta)} {fmt_float(m.kappa_t)} "
+            f"{fmt_float(m.gamma)} {fmt_float(m.residual)}"
         )
     print(f"modes = {len(modes)}", file=sys.stderr)
     return EXIT_OK
@@ -155,11 +152,11 @@ def cmd_fwm(args) -> int:
         print("# z |E_s| |E_closed|")
         for z, e in samples:
             ec = fwm_mod.closed_form_signal(params, z)
-            print(f"{_fmt(z)} {_fmt(abs(e))} {_fmt(abs(ec))}")
+            print(f"{fmt_float(z)} {fmt_float(abs(e))} {fmt_float(abs(ec))}")
     else:
         print("# z |E_s|")
         for z, e in samples:
-            print(f"{_fmt(z)} {_fmt(abs(e))}")
+            print(f"{fmt_float(z)} {fmt_float(abs(e))}")
     return EXIT_OK
 
 

@@ -390,95 +390,61 @@ def _window_tail(trace: FieldTrace, window: float):
     return trace.z[mask], trace.incident[mask]
 
 
-def _cd_minimize(objective, p0, steps0, budget=10000, step_floor=1e-9):
-    """Coordinate descent with per-axis expanding/shrinking steps.
+FIT_BUDGET = 500  # residual evaluations per coupled-mode fit, Jacobians included
 
-    Each cycle probes +/- along every axis, riding improving directions;
-    an improving cycle is followed by pattern moves along its combined
-    displacement, which keeps correlated valleys from stalling the axis
-    moves.  All steps halve when a cycle brings no improvement; stops when
-    every step is below step_floor or the evaluation budget is spent.
+
+def _levenberg_marquardt(residuals, p0, delta, budget=FIT_BUDGET):
+    """Minimize |residuals(p)|^2 by Levenberg-Marquardt with Marquardt's
+    diagonal scaling, Nielsen's damping update, and a forward-difference
+    Jacobian (parameter j perturbed by delta[j]).
+
+    Returns (p, r, evaluations, stop): stop is "converged" once a proposed
+    step is below 1e-12 of |p| + |delta|, and "budget" when the
+    evaluations run out first.
     """
-    p = list(p0)
-    f = objective(p)
-    evals = 1
-    steps = list(steps0)
-    while evals < budget and max(steps) >= step_floor:
-        cycle_start = list(p)
-        improved = False
-        for i in range(len(p)):
-            if evals >= budget:
+    p = np.asarray(p0, dtype=float)
+    r = residuals(p)
+    f = float(r @ r)
+    evals, lam, nu, jac = 1, 1e-3, 2.0, None
+    step_floor = 1e-12 * np.linalg.norm(delta)
+    while evals < budget:
+        if jac is None:
+            if evals + len(p) >= budget:
                 break
-            for sgn in (1.0, -1.0):
-                trial = list(p)
-                trial[i] += sgn * steps[i]
-                ft = objective(trial)
-                evals += 1
-                if ft < f:
-                    p, f = trial, ft
-                    improved = True
-                    while evals < budget:
-                        trial = list(p)
-                        trial[i] += sgn * steps[i]
-                        ft = objective(trial)
-                        evals += 1
-                        if ft < f:
-                            p, f = trial, ft
-                        else:
-                            break
-                    break
-        if improved:
-            delta = [a - b for a, b in zip(p, cycle_start)]
-            while evals < budget:
-                trial = [a + d for a, d in zip(p, delta)]
-                ft = objective(trial)
-                evals += 1
-                if ft < f:
-                    p, f = trial, ft
-                else:
-                    break
+            jac = np.column_stack([(residuals(p + e) - r) / d for e, d in zip(np.diag(delta), delta)])
+            evals += len(p)
+            jtj, grad = jac.T @ jac, jac.T @ r
+        step = np.linalg.lstsq(jtj + lam * np.diag(np.diag(jtj)), -grad, rcond=None)[0]
+        trial = p + step
+        rt = residuals(trial)
+        evals += 1
+        ft = float(rt @ rt)
+        if ft < f:
+            predicted = -(2.0 * float(step @ grad) + float(step @ jtj @ step))
+            rho = (f - ft) / predicted if predicted > 0.0 else 0.0
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            p, r, f, nu, jac = trial, rt, ft, 2.0, None
         else:
-            steps = [0.5 * s for s in steps]
-    return p, f, evals
+            lam *= nu
+            nu *= 2.0
+        if np.linalg.norm(step) <= 1e-12 * np.linalg.norm(p) + step_floor:
+            return p, r, evals, "converged"
+    return p, r, evals, "budget"
 
 
-def _predict_coupled(params, z, a0, b0):
-    """RK4 trajectory of the coupling ODEs, one step per sample interval.
-
-    Stepping on the measurement grid itself makes the predictor share its
-    discrete map with integrate_coupled_modes, so traces generated by the
-    package integrator at the same grid are reproduced exactly at the
-    generating parameters.
+def _closed_form_start(a: np.ndarray, b: np.ndarray, h: float) -> list[float]:
+    """(beta1, beta2, kappa12, kappa21) from the least-squares one-step map
+    x[k+1] = M x[k] of the samples (dynamic mode decomposition), as the real
+    parts of gen = i log(M) / h; zeros when M or its logarithm is undefined.
     """
-    beta1, beta2, k12, k21 = params
-    ca = -1j * beta1
-    cb = -1j * beta2
-    cab = -1j * k12
-    cba = -1j * k21
-    a, b = a0, b0
-    out_a = [a]
-    out_b = [b]
-    for i in range(len(z) - 1):
-        h = z[i + 1] - z[i]
-        k1a = ca * a + cab * b
-        k1b = cb * b + cba * a
-        a2 = a + 0.5 * h * k1a
-        b2 = b + 0.5 * h * k1b
-        k2a = ca * a2 + cab * b2
-        k2b = cb * b2 + cba * a2
-        a3 = a + 0.5 * h * k2a
-        b3 = b + 0.5 * h * k2b
-        k3a = ca * a3 + cab * b3
-        k3b = cb * b3 + cba * a3
-        a4 = a + h * k3a
-        b4 = b + h * k3b
-        k4a = ca * a4 + cab * b4
-        k4b = cb * b4 + cba * a4
-        a = a + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
-        b = b + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
-        out_a.append(a)
-        out_b.append(b)
-    return np.asarray(out_a), np.asarray(out_b)
+    x = np.column_stack([a, b])
+    m_t, _, rank, _ = np.linalg.lstsq(x[:-1], x[1:], rcond=None)
+    if rank < 2:
+        return [0.0] * 4
+    with np.errstate(all="ignore"):
+        w, v = np.linalg.eig(m_t.T)
+        start = (1j * (v * np.log(w)) @ np.linalg.inv(v) / h)[[0, 1, 0, 1], [0, 1, 1, 0]].real
+    return list(start) if np.all(np.isfinite(start)) else [0.0] * 4
 
 
 def detect_vertex_coupled_mode(
@@ -490,13 +456,18 @@ def detect_vertex_coupled_mode(
 ) -> VertexVerdict:
     """Test two interface traces for two-mode coupling near their corner.
 
-    The last `corner_window` of each trace (>= 8 samples, shared z grid)
-    is fit to the coupling ODEs over real (beta1, beta2, kappa12, kappa21)
-    by derivative-free coordinate descent (budget 10^4 evaluations,
-    convergence when steps drop below 1e-9).  Traces are normalized by
-    their joint initial magnitude first, so the verdict only sees ratios.
-    A vertex needs both rms residual <= tol and fitted coupling
-    max(|kappa12|, |kappa21|) >= kappa_min.
+    The last `corner_window` of each trace (>= 8 samples, shared uniform z
+    grid) is fit to the coupling ODEs over real (beta1, beta2, kappa12,
+    kappa21).  Traces are normalized by their joint initial magnitude
+    first, so the verdict only sees ratios.  The model steps each sample
+    to the next with one RK4 step matrix; the residual is the rms complex
+    deviation of the predicted samples.  The fit starts from the closed
+    form of `_closed_form_start` and is polished by Levenberg-Marquardt
+    within FIT_BUDGET residual evaluations.  A vertex needs both residual
+    <= tol and max(|kappa12|, |kappa21|) >= kappa_min on non-degenerate
+    traces.  `params`: the fit (beta1, beta2, kappa12, kappa21),
+    evaluations, stop ("converged" or "budget") and window_samples; empty
+    for traces that vanish at the window start or hold non-finite samples.
     """
     za, a = _window_tail(trace_a, corner_window)
     zb, b = _window_tail(trace_b, corner_window)
@@ -510,52 +481,44 @@ def detect_vertex_coupled_mode(
 
     norm0 = math.sqrt(abs(a[0]) ** 2 + abs(b[0]) ** 2)
     position = trace_a.ray.point_at(trace_a.ray.length)
-    if norm0 == 0.0:
+    if norm0 == 0.0 or not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         return VertexVerdict(False, "coupled_mode", math.inf, position, {}, True)
     a = a / norm0
     b = b / norm0
     variation = max(float(np.max(np.abs(a - a[0]))), float(np.max(np.abs(b - b[0]))))
     degenerate = variation < 1e-12
 
-    dz = float(z[1] - z[0])
-    beta1_0 = -np.angle(a[1] / a[0]) / dz if abs(a[0]) > 0 and abs(a[1]) > 0 else 0.0
-    beta2_0 = beta1_0
-    mag_b = np.abs(b)
-    good = np.flatnonzero((mag_b[:-1] > 1e-3) & (mag_b[1:] > 1e-3))
-    if len(good):
-        k = int(good[-1])
-        beta2_0 = -np.angle(b[k + 1] / b[k]) / dz
-    k21_0 = abs(b[1] - b[0] * np.exp(-1j * beta2_0 * dz)) / (dz * abs(a[0])) if abs(a[0]) > 0 else 0.0
-    k12_0 = (
-        abs(a[1] - a[0] * np.exp(-1j * beta1_0 * dz)) / (dz * abs(b[0]))
-        if abs(b[0]) > 1e-12
-        else k21_0
-    )
-    p0 = [float(beta1_0), float(beta2_0), float(k12_0), float(k21_0)]
+    h = float(z[-1]) / (len(z) - 1)
+    measured = np.column_stack([a[1:], b[1:]])
 
-    span = float(z[-1]) if z[-1] > 0 else 1.0
-    scale = max(abs(p0[0]), abs(p0[1]), abs(p0[2]), abs(p0[3]), 1.0 / span)
-    steps0 = [max(0.1 * scale, 0.5 * abs(v)) for v in p0]
-    inv_count = 1.0 / (2.0 * (len(z) - 1))
+    def residuals(params):
+        beta1, beta2, k12, k21 = params
+        (p00, p01), (p10, p11) = _cm.rk4_step_matrix([[beta1, k12], [k21, beta2]], h).tolist()
+        xa, xb = complex(a[0]), complex(b[0])
+        predicted = []
+        for _ in range(len(measured)):
+            xa, xb = p00 * xa + p01 * xb, p10 * xa + p11 * xb
+            predicted.append((xa, xb))
+        d = (np.array(predicted) - measured).ravel()
+        return np.concatenate([d.real, d.imag])
 
-    def objective(params):
-        pa, pb = _predict_coupled(params, z, complex(a[0]), complex(b[0]))
-        d = np.sum(np.abs(pa[1:] - a[1:]) ** 2) + np.sum(np.abs(pb[1:] - b[1:]) ** 2)
-        return math.sqrt(d * inv_count)
-
-    fitted, residual, evals = _cd_minimize(objective, p0, steps0)
+    p0 = _closed_form_start(a, b, h)
+    delta = [1.5e-8 * max(abs(v), 1.0 / float(z[-1])) for v in p0]
+    fitted, r, evals, stop = _levenberg_marquardt(residuals, p0, delta)
+    residual = math.sqrt(float(r @ r) / (2.0 * len(measured)))
     kappa_mag = max(abs(fitted[2]), abs(fitted[3]))
     return VertexVerdict(
         is_vertex=bool(residual <= tol and kappa_mag >= kappa_min and not degenerate),
         criterion="coupled_mode",
-        residual=float(residual),
+        residual=residual,
         position=position,
         params={
-            "beta1": fitted[0],
-            "beta2": fitted[1],
-            "kappa12": fitted[2],
-            "kappa21": fitted[3],
+            "beta1": float(fitted[0]),
+            "beta2": float(fitted[1]),
+            "kappa12": float(fitted[2]),
+            "kappa21": float(fitted[3]),
             "evaluations": evals,
+            "stop": stop,
             "window_samples": len(z),
         },
         degenerate=degenerate,

@@ -47,6 +47,7 @@ from .detect import (
 )
 from .fresnel import EmMedium
 from .geometry import SimplicialComplex, build_complex
+from .traceio import SchemaMismatch
 
 
 class ConfigParseError(Exception):
@@ -92,6 +93,13 @@ def parse_blocks(text: str) -> dict:
         col = raw.index("=") + 2
         current[key] = (value.strip(), lineno, col)
     return sections
+
+
+RAYS_PER_CRITERION = {  # criterion -> (fewest, most, as said in errors)
+    "coupled_mode": (2, 2, "exactly 2 rays"),
+    "cascade": (2, math.inf, "at least 2 rays"),
+    "fwm": (1, 1, "exactly 1 ray"),
+}
 
 
 @dataclass
@@ -332,7 +340,7 @@ def load_scenario_text(text: str) -> Scenario:
                 _, line, col = entry
                 raise ConfigParseError(line, col, f"check.{i}: missing criterion=")
             criterion = tokens["criterion"][0]
-            if criterion not in ("coupled_mode", "cascade", "fwm"):
+            if criterion not in RAYS_PER_CRITERION:
                 _, line, col = entry
                 raise ConfigParseError(line, col, f"check.{i}: unknown criterion {criterion!r}")
             if "ray" in tokens:
@@ -346,6 +354,12 @@ def load_scenario_text(text: str) -> Scenario:
                 if not 0 <= r < len(rays):
                     _, line, col = entry
                     raise ConfigParseError(line, col, f"check.{i}: no ray {r}")
+            low, high, wanted = RAYS_PER_CRITERION[criterion]
+            if not low <= len(ray_ids) <= high:
+                _, line, col = entry
+                raise ConfigParseError(
+                    line, col, f"check.{i}: {criterion} takes {wanted}, got {len(ray_ids)}"
+                )
             check = VertexCheck(
                 criterion=criterion,
                 ray_ids=ray_ids,
@@ -401,6 +415,9 @@ def run_detect(scenario: Scenario, traces) -> DetectionReport:
             )
     verdicts = []
     for check in scenario.vertex_checks:
+        missing = [r for r in check.ray_ids if r not in by_id]
+        if missing:
+            raise SchemaMismatch(f"vertex check names ray(s) {missing} absent from the traces")
         trs = [by_id[r] for r in check.ray_ids]
         if check.criterion == "coupled_mode":
             window = check.window

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +31,18 @@ class SchemaMismatch(Exception):
     """File header or sidecar metadata does not match the expected schema."""
 
 
-def _fmt(x: float) -> str:
+def fmt_float(x: float) -> str:
+    """17 significant digits: every float64 round-trips exactly."""
     return f"{float(x):.17g}"
+
+
+@contextmanager
+def _garbled(what: str):
+    """Report a value that fails to parse as a SchemaMismatch."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SchemaMismatch(f"garbled {what}: {exc}") from None
 
 
 def sidecar_path(path) -> Path:
@@ -45,10 +57,19 @@ def _read_sidecar(path, expected_kind: str) -> dict:
     sp = sidecar_path(path)
     if not sp.exists():
         raise SchemaMismatch(f"missing sidecar metadata file {sp}")
-    meta = json.loads(sp.read_text())
+    try:
+        meta = json.loads(sp.read_text())
+    except ValueError as exc:
+        raise SchemaMismatch(f"sidecar {sp} is not valid JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise SchemaMismatch(f"sidecar {sp} does not hold a JSON object")
     if meta.get("kind") != expected_kind:
         raise SchemaMismatch(
             f"sidecar kind {meta.get('kind')!r} != expected {expected_kind!r}"
+        )
+    if meta.get("version") != FORMAT_VERSION:
+        raise SchemaMismatch(
+            f"sidecar version {meta.get('version')!r} != supported {FORMAT_VERSION}"
         )
     return meta
 
@@ -73,18 +94,17 @@ def write_traces(path, traces, extra_meta: dict | None = None) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(TRACE_COLUMNS)
         for tr in traces:
-            for i in range(tr.n_samples):
-                w.writerow(
-                    [
-                        tr.ray_id,
-                        _fmt(tr.z[i]),
-                        _fmt(tr.incident[i].real),
-                        _fmt(tr.incident[i].imag),
-                        _fmt(tr.reflected[i].real),
-                        _fmt(tr.reflected[i].imag),
-                        tr.medium_ids[i],
-                    ]
+            w.writerows(
+                zip(
+                    repeat(tr.ray_id, tr.n_samples),
+                    map(fmt_float, tr.z.tolist()),
+                    map(fmt_float, tr.incident.real.tolist()),
+                    map(fmt_float, tr.incident.imag.tolist()),
+                    map(fmt_float, tr.reflected.real.tolist()),
+                    map(fmt_float, tr.reflected.imag.tolist()),
+                    tr.medium_ids,
                 )
+            )
     meta = {
         "kind": "traces",
         "version": FORMAT_VERSION,
@@ -118,25 +138,27 @@ def read_traces(path) -> tuple[list[FieldTrace], dict]:
             f"trace header {rows[0] if rows else None} != {TRACE_COLUMNS}"
         )
     grouped: dict[int, list] = {}
-    for row in rows[1:]:
-        if len(row) != len(TRACE_COLUMNS):
-            raise SchemaMismatch(f"trace row has {len(row)} fields: {row}")
-        grouped.setdefault(int(row[0]), []).append(row)
+    with _garbled("trace row ray id"):
+        for row in rows[1:]:
+            if len(row) != len(TRACE_COLUMNS):
+                raise SchemaMismatch(f"trace row has {len(row)} fields: {row}")
+            grouped.setdefault(int(row[0]), []).append(row)
     traces = []
     for ray_id in sorted(grouped):
-        ray_meta = meta.get("rays", {}).get(str(ray_id))
-        if ray_meta is None:
-            raise SchemaMismatch(f"sidecar lacks ray geometry for ray {ray_id}")
-        ray = Ray(
-            origin=tuple(ray_meta["origin"]),
-            direction=tuple(ray_meta["direction"]),
-            length=float(ray_meta["length"]),
-            grid_step=float(ray_meta["grid_step"]),
-        )
         rows_r = grouped[ray_id]
-        z = np.array([float(r[1]) for r in rows_r])
-        incident = np.array([complex(float(r[2]), float(r[3])) for r in rows_r])
-        reflected = np.array([complex(float(r[4]), float(r[5])) for r in rows_r])
+        with _garbled(f"trace rows or sidecar geometry of ray {ray_id}"):
+            ray_meta = meta.get("rays", {}).get(str(ray_id))
+            if ray_meta is None:
+                raise SchemaMismatch(f"sidecar lacks ray geometry for ray {ray_id}")
+            ray = Ray(
+                origin=tuple(ray_meta["origin"]),
+                direction=tuple(ray_meta["direction"]),
+                length=float(ray_meta["length"]),
+                grid_step=float(ray_meta["grid_step"]),
+            )
+            z = np.array([float(r[1]) for r in rows_r])
+            incident = np.array([complex(float(r[2]), float(r[3])) for r in rows_r])
+            reflected = np.array([complex(float(r[4]), float(r[5])) for r in rows_r])
         medium_ids = tuple(_parse_medium_id(r[6]) for r in rows_r)
         traces.append(
             FieldTrace(
@@ -162,7 +184,7 @@ def _parse_medium_id(text: str):
 def _join_position(position) -> str:
     if position is None:
         return ""
-    return ";".join(_fmt(x) for x in position)
+    return ";".join(fmt_float(x) for x in position)
 
 
 def _split_position(text: str):
@@ -182,16 +204,16 @@ def write_report(path, report: DetectionReport, extra_meta: dict | None = None) 
                 [
                     "interface",
                     h.ray_id,
-                    _fmt(h.z),
+                    fmt_float(h.z),
                     _join_position(h.position),
-                    _fmt(h.measured_t.real),
-                    _fmt(h.measured_t.imag),
-                    _fmt(h.measured_r.real),
-                    _fmt(h.measured_r.imag),
-                    _fmt(h.media_pair[0]),
-                    _fmt(h.media_pair[1]),
+                    fmt_float(h.measured_t.real),
+                    fmt_float(h.measured_t.imag),
+                    fmt_float(h.measured_r.real),
+                    fmt_float(h.measured_r.imag),
+                    fmt_float(h.media_pair[0]),
+                    fmt_float(h.media_pair[1]),
                     "",
-                    _fmt(h.residual),
+                    fmt_float(h.residual),
                     "",
                 ]
             )
@@ -204,7 +226,7 @@ def write_report(path, report: DetectionReport, extra_meta: dict | None = None) 
                     _join_position(v.position),
                     "", "", "", "", "", "",
                     v.criterion,
-                    _fmt(v.residual),
+                    fmt_float(v.residual),
                     "1" if v.degenerate else "0",
                 ]
             )
@@ -231,34 +253,36 @@ def read_report(path) -> tuple[DetectionReport, dict]:
         raise SchemaMismatch(
             f"report header {rows[0] if rows else None} != {REPORT_COLUMNS}"
         )
-    report = DetectionReport(params_used=dict(meta.get("params_used", {})))
-    for row in rows[1:]:
-        if len(row) != len(REPORT_COLUMNS):
-            raise SchemaMismatch(f"report row has {len(row)} fields: {row}")
-        kind = row[0]
-        if kind == "interface":
-            report.interface_hits.append(
-                InterfaceHit(
-                    ray_id=int(row[1]),
-                    z=float(row[2]),
-                    position=_split_position(row[3]),
-                    measured_t=complex(float(row[4]), float(row[5])),
-                    measured_r=complex(float(row[6]), float(row[7])),
-                    media_pair=(float(row[8]), float(row[9])),
-                    residual=float(row[11]),
+    with _garbled("sidecar params_used"):
+        report = DetectionReport(params_used=dict(meta.get("params_used", {})))
+    with _garbled("report row"):
+        for row in rows[1:]:
+            if len(row) != len(REPORT_COLUMNS):
+                raise SchemaMismatch(f"report row has {len(row)} fields: {row}")
+            kind = row[0]
+            if kind == "interface":
+                report.interface_hits.append(
+                    InterfaceHit(
+                        ray_id=int(row[1]),
+                        z=float(row[2]),
+                        position=_split_position(row[3]),
+                        measured_t=complex(float(row[4]), float(row[5])),
+                        measured_r=complex(float(row[6]), float(row[7])),
+                        media_pair=(float(row[8]), float(row[9])),
+                        residual=float(row[11]),
+                    )
                 )
-            )
-        elif kind == "vertex":
-            ray_ids = tuple(int(x) for x in row[1].split(";")) if row[1] else ()
-            report.vertex_hits.append(
-                VertexHit(
-                    position=_split_position(row[3]),
-                    criterion=row[10],
-                    residual=float(row[11]),
-                    ray_ids=ray_ids,
-                    degenerate=row[12] == "1",
+            elif kind == "vertex":
+                ray_ids = tuple(int(x) for x in row[1].split(";")) if row[1] else ()
+                report.vertex_hits.append(
+                    VertexHit(
+                        position=_split_position(row[3]),
+                        criterion=row[10],
+                        residual=float(row[11]),
+                        ray_ids=ray_ids,
+                        degenerate=row[12] == "1",
+                    )
                 )
-            )
-        else:
-            raise SchemaMismatch(f"unknown report row kind {kind!r}")
+            else:
+                raise SchemaMismatch(f"unknown report row kind {kind!r}")
     return report, meta

@@ -13,7 +13,13 @@ from polywave.coupled_mode import (
     cascade_transfer,
 )
 from polywave.fwm import FwmParams, closed_form_signal, integrate_signal
-from polywave.traceio import read_report, read_traces, sidecar_path
+from polywave.traceio import (
+    SchemaMismatch,
+    read_report,
+    read_traces,
+    sidecar_path,
+    write_report,
+)
 from polywave.waveguide import SlabSpec, solve_te_slab_modes
 
 ROD_CONFIG = """\
@@ -185,6 +191,92 @@ def test_detect_wave_kind_mismatch_exit_4(rod, acoustic, tmp_path, capsys):
     )
     assert code == 4
     assert "schema error" in capsys.readouterr().err
+
+
+def simulate_then_detect(cfg, tmp_path, edit_traces=None):
+    traces = tmp_path / "traces.csv"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(traces)]) == 0
+    if edit_traces is not None:
+        edit_traces(traces)
+    return cli.main(
+        ["detect", "--config", str(cfg), "--traces", str(traces),
+         "--out", str(tmp_path / "r.csv")]
+    )
+
+
+def test_detect_garbled_trace_number_exit_4(rod, tmp_path, capsys):
+    def garble(path):
+        lines = path.read_text().splitlines(keepends=True)
+        lines[5] = lines[5].replace(",", ",x", 1)
+        path.write_text("".join(lines))
+
+    assert simulate_then_detect(rod, tmp_path, garble) == 4
+    assert "schema error: garbled trace row" in capsys.readouterr().err
+
+
+def test_detect_garbled_sidecar_exit_4(rod, tmp_path, capsys):
+    def garble(path):
+        sidecar_path(path).write_text('{"kind": "traces", ')
+
+    assert simulate_then_detect(rod, tmp_path, garble) == 4
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
+def test_detect_sidecar_version_mismatch_exit_4(rod, tmp_path, capsys):
+    def bump(path):
+        sp = sidecar_path(path)
+        sp.write_text(sp.read_text().replace('"version": 1', '"version": 2'))
+
+    assert simulate_then_detect(rod, tmp_path, bump) == 4
+    assert "sidecar version 2" in capsys.readouterr().err
+
+
+def test_garbled_report_number_is_schema_mismatch(rod, tmp_path):
+    traces, report = tmp_path / "traces.csv", tmp_path / "report.csv"
+    assert cli.main(["simulate", "--config", str(rod), "--out", str(traces)]) == 0
+    assert cli.main(
+        ["detect", "--config", str(rod), "--traces", str(traces), "--out", str(report)]
+    ) == 0
+    back, _ = read_report(report)
+    assert back.interface_hits
+    text = report.read_text().splitlines(keepends=True)
+    text[1] = text[1].replace("interface,0,", "interface,0,zz", 1)
+    report.write_text("".join(text))
+    with pytest.raises(SchemaMismatch, match="garbled report row"):
+        read_report(report)
+
+
+def test_detect_check_naming_absent_ray_exit_4(rod, tmp_path, capsys):
+    traces = tmp_path / "traces.csv"
+    assert cli.main(["simulate", "--config", str(rod), "--out", str(traces)]) == 0
+    two_rays = tmp_path / "two.cfg"
+    two_rays.write_text(
+        ROD_CONFIG.replace(
+            "grid_step=0.001\n",
+            "grid_step=0.001\nray.1 = origin=0.0005 direction=1 length=0.5 grid_step=0.001\n",
+        )
+        + "\n[vertices]\ncheck.0 = criterion=coupled_mode rays=0,1\n"
+    )
+    code = cli.main(
+        ["detect", "--config", str(two_rays), "--traces", str(traces),
+         "--out", str(tmp_path / "r.csv")]
+    )
+    assert code == 4
+    assert "absent from the traces" in capsys.readouterr().err
+
+
+def test_detect_one_ray_coupled_mode_check_exit_2(rod, tmp_path, capsys):
+    traces = tmp_path / "traces.csv"
+    assert cli.main(["simulate", "--config", str(rod), "--out", str(traces)]) == 0
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(ROD_CONFIG + "\n[vertices]\ncheck.0 = criterion=coupled_mode ray=0\n")
+    code = cli.main(
+        ["detect", "--config", str(cfg), "--traces", str(traces),
+         "--out", str(tmp_path / "r.csv")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 22" in err and "coupled_mode takes exactly 2 rays, got 1" in err
 
 
 def test_detect_tol_override(rod, tmp_path):

@@ -21,6 +21,7 @@ from polywave.coupled_mode import (
     coupler_matrix,
     delay_matrix,
     integrate_coupled_modes,
+    rk4_step_matrix,
 )
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -74,6 +75,69 @@ def test_default_step_used_when_omitted():
     p = CoupledModeParams(beta1=2.0, beta2=2.0, kappa12=0.1, kappa21=0.1)
     traj = integrate_coupled_modes(p, 1.0)
     assert traj.z_grid[1] == pytest.approx(1e-3 * 2 * math.pi / 2.0)
+
+
+def scalar_rk4_reference(p, z_max, step, a0, b0):
+    """Textbook RK4 on the two coupled amplitudes, one scalar stage at a
+    time, with the same step schedule as integrate_coupled_modes."""
+    ca = -1j * (p.beta1 + p.kappa11)
+    cb = -1j * (p.beta2 + p.kappa22)
+    cab = -1j * p.kappa12
+    cba = -1j * p.kappa21
+    n_full = int(np.floor(z_max / step + 1e-12))
+    steps = [step] * n_full
+    if z_max - n_full * step > 1e-12 * z_max:
+        steps.append(z_max - n_full * step)
+    a, b = complex(a0), complex(b0)
+    out_a, out_b = [a], [b]
+    for h in steps:
+        k1a = ca * a + cab * b
+        k1b = cb * b + cba * a
+        a2 = a + 0.5 * h * k1a
+        b2 = b + 0.5 * h * k1b
+        k2a = ca * a2 + cab * b2
+        k2b = cb * b2 + cba * a2
+        a3 = a + 0.5 * h * k2a
+        b3 = b + 0.5 * h * k2b
+        k3a = ca * a3 + cab * b3
+        k3b = cb * b3 + cba * a3
+        a4 = a + h * k3a
+        b4 = b + h * k3b
+        k4a = ca * a4 + cab * b4
+        k4b = cb * b4 + cba * a4
+        a = a + (h / 6.0) * (k1a + 2 * k2a + 2 * k3a + k4a)
+        b = b + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
+        out_a.append(a)
+        out_b.append(b)
+    return np.asarray(out_a), np.asarray(out_b)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        CoupledModeParams(beta1=2.4, beta2=1.7, kappa12=0.5, kappa21=0.9),
+        CoupledModeParams(beta1=-3.0, beta2=4.5, kappa11=0.3, kappa22=-0.2,
+                          kappa12=1.2 - 0.7j, kappa21=1.2 + 0.7j),
+        CoupledModeParams(beta1=0.0, beta2=0.0, kappa12=2.0, kappa21=-1.5),
+        CoupledModeParams(beta1=1.0, beta2=1.0),
+    ],
+)
+def test_step_matrix_matches_scalar_rk4(p):
+    # 200 full steps plus a short final one
+    traj = integrate_coupled_modes(p, 2.003, step=0.01, a0=0.8, b0=0.6j)
+    ref_a, ref_b = scalar_rk4_reference(p, 2.003, 0.01, 0.8, 0.6j)
+    assert len(traj.a) == len(ref_a) == 202
+    scale = max(np.max(np.abs(ref_a)), np.max(np.abs(ref_b)))
+    assert np.max(np.abs(traj.a - ref_a)) <= 1e-13 * scale
+    assert np.max(np.abs(traj.b - ref_b)) <= 1e-13 * scale
+
+
+def test_step_matrix_is_degree_four_taylor_polynomial():
+    gen = np.array([[0.4, 1.1 - 0.2j], [0.3j, -0.8]])
+    h = 0.07
+    m = -1j * h * gen
+    expected = np.eye(2) + m + m @ m / 2 + m @ m @ m / 6 + m @ m @ m @ m / 24
+    assert np.allclose(rk4_step_matrix(gen, h), expected, rtol=0, atol=1e-15)
 
 
 def test_closed_form_complete_transfer():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polywave.acoustic import AcousticMedium
 from polywave.coupled_mode import (
@@ -17,6 +19,7 @@ from polywave.coupled_mode import (
     integrate_coupled_modes,
 )
 from polywave.detect import (
+    FIT_BUDGET,
     FieldTrace,
     ObliqueCrossing,
     Ray,
@@ -31,6 +34,7 @@ from polywave.detect import (
     detect_vertex_fwm,
     synthesize_ray_trace,
     verdicts_to_hits,
+    _levenberg_marquardt,
     zero_delay_cascade,
 )
 from polywave.fresnel import EmMedium
@@ -408,6 +412,76 @@ def test_coupled_fit_scale_invariant():
     v = detect_vertex_coupled_mode(ta2, tb2, corner_window=2.0, tol=1e-6)
     assert v.is_vertex
     assert v.params["kappa12"] == pytest.approx(0.7, rel=1e-6)
+
+
+coupling = st.one_of(st.floats(min_value=-5.0, max_value=-0.1),
+                     st.floats(min_value=0.1, max_value=5.0))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    beta1=st.floats(min_value=-5.0, max_value=5.0),
+    beta2=st.floats(min_value=-5.0, max_value=5.0),
+    k12=coupling,
+    k21=coupling,
+    n=st.integers(min_value=13, max_value=41),
+)
+def test_coupled_fit_recovers_random_params(beta1, beta2, k12, k21, n):
+    p = CoupledModeParams(beta1=beta1, beta2=beta2, kappa12=k12, kappa21=k21)
+    ta, tb = coupled_traces(p, z_max=(n - 1) * 0.05, step=0.05)
+    assert ta.n_samples == n
+    v = detect_vertex_coupled_mode(ta, tb, corner_window=3.0, tol=1e-6)
+    assert v.is_vertex
+    assert v.residual < 1e-8
+    for key, true in (("beta1", beta1), ("beta2", beta2), ("kappa12", k12), ("kappa21", k21)):
+        assert v.params[key] == pytest.approx(true, rel=1e-5, abs=1e-6)
+
+
+def random_walk_pair(seed, n=13):
+    rng = np.random.default_rng(seed)
+    steps_a = 1.0 + 0.08 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
+    steps_b = 1.0 + 0.08 * (rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1))
+    z = np.arange(n) * 0.05
+    a = np.concatenate([[1.0], np.cumprod(steps_a)])
+    b = np.concatenate([[0.7], 0.7 * np.cumprod(steps_b)])
+    return em_trace(z, a, ray_id=0), em_trace(z, b, ray_id=1)
+
+
+def test_coupled_fit_reports_why_it_stopped():
+    p = CoupledModeParams(beta1=2.4, beta2=1.7, kappa12=0.5, kappa21=0.9)
+    ta, tb = coupled_traces(p, b0=0.3 + 0j)
+    accept = detect_vertex_coupled_mode(ta, tb, corner_window=2.0, tol=1e-6)
+    assert accept.is_vertex
+    assert accept.params["stop"] == "converged"
+    assert accept.params["evaluations"] < 50
+
+    reject = detect_vertex_coupled_mode(*random_walk_pair(100), corner_window=2.0, tol=1e-3)
+    assert not reject.is_vertex
+    assert reject.residual > 1e-3
+    assert reject.params["stop"] == "converged"
+    assert reject.params["evaluations"] <= FIT_BUDGET
+
+
+def test_levenberg_marquardt_stops_on_budget_or_convergence():
+    def rosenbrock(q):
+        return np.array([10.0 * (q[1] - q[0] ** 2), 1.0 - q[0]])
+
+    delta = [1e-8, 1e-8]
+    p, r, evals, stop = _levenberg_marquardt(rosenbrock, [-1.2, 1.0], delta, budget=12)
+    assert stop == "budget" and evals <= 12
+    p, r, evals, stop = _levenberg_marquardt(rosenbrock, [-1.2, 1.0], delta)
+    assert stop == "converged" and evals <= FIT_BUDGET
+    assert p == pytest.approx([1.0, 1.0], abs=1e-6)
+    assert float(r @ r) < 1e-12
+
+
+def test_non_finite_samples_rejected_without_fit():
+    p = CoupledModeParams(beta1=2.0, beta2=2.0, kappa12=0.7, kappa21=0.7)
+    ta, tb = coupled_traces(p)
+    tb.incident[5] = complex(math.nan, 0.0)
+    v = detect_vertex_coupled_mode(ta, tb, corner_window=2.0, tol=1e-6)
+    assert not v.is_vertex
+    assert v.degenerate
 
 
 def test_window_too_small():

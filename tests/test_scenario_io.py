@@ -257,6 +257,24 @@ def test_vertex_check_validation():
     assert "no ray 7" in err.message
 
 
+def test_vertex_check_ray_counts():
+    text = ROD_CONFIG.replace(
+        "grid_step=0.001\n",
+        "grid_step=0.001\nray.1 = origin=0.0005 direction=1 length=0.5 grid_step=0.001\n",
+    ) + "\n[vertices]\n{}\n"
+    for check, message in (
+        ("criterion=coupled_mode ray=0", "coupled_mode takes exactly 2 rays, got 1"),
+        ("criterion=coupled_mode rays=0,1,0", "coupled_mode takes exactly 2 rays, got 3"),
+        ("criterion=cascade ray=1", "cascade takes at least 2 rays, got 1"),
+        ("criterion=fwm rays=0,1", "fwm takes exactly 1 ray, got 2"),
+    ):
+        err = parse_error(text.format(f"check.0 = {check}"))
+        assert message in err.message
+        assert err.line > 0 and err.col > 0
+    sc = load_scenario_text(text.format("check.0 = criterion=cascade rays=0,1,0"))
+    assert sc.vertex_checks[0].ray_ids == (0, 1, 0)
+
+
 def test_empty_rays_block_allowed():
     text = ROD_CONFIG.replace(
         "ray.0 = origin=0.0005 direction=1 length=0.998 grid_step=0.001\n", ""
