@@ -435,16 +435,26 @@ def _levenberg_marquardt(residuals, p0, delta, budget=FIT_BUDGET):
 def _closed_form_start(a: np.ndarray, b: np.ndarray, h: float) -> list[float]:
     """(beta1, beta2, kappa12, kappa21) from the least-squares one-step map
     x[k+1] = M x[k] of the samples (dynamic mode decomposition), as the real
-    parts of gen = i log(M) / h; zeros when M or its logarithm is undefined.
+    parts of gen = i log(M) / h.  When M or its logarithm is undefined (say,
+    one mode is identically zero), each mode starts from its own phase rate
+    with the couplings at zero.
     """
     x = np.column_stack([a, b])
     m_t, _, rank, _ = np.linalg.lstsq(x[:-1], x[1:], rcond=None)
-    if rank < 2:
-        return [0.0] * 4
-    with np.errstate(all="ignore"):
-        w, v = np.linalg.eig(m_t.T)
-        start = (1j * (v * np.log(w)) @ np.linalg.inv(v) / h)[[0, 1, 0, 1], [0, 1, 1, 0]].real
-    return list(start) if np.all(np.isfinite(start)) else [0.0] * 4
+    if rank == 2:
+        with np.errstate(all="ignore"):
+            w, v = np.linalg.eig(m_t.T)
+            start = (1j * (v * np.log(w)) @ np.linalg.inv(v) / h)[[0, 1, 0, 1], [0, 1, 1, 0]].real
+        if np.all(np.isfinite(start)):
+            return list(start)
+    return [_phase_rate(a, h), _phase_rate(b, h), 0.0, 0.0]
+
+
+def _phase_rate(x: np.ndarray, h: float) -> float:
+    """Least-squares phase rate Re(i log(r) / h) = -arg(r) / h of one mode,
+    r = <x[:-1], x[1:]> / <x[:-1], x[:-1]>; 0 for a mode that is identically
+    zero (arg 0 = 0)."""
+    return -float(np.angle(np.vdot(x[:-1], x[1:]))) / h
 
 
 def detect_vertex_coupled_mode(

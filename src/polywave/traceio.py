@@ -5,14 +5,20 @@ round-trips exactly; rows are written in a fixed order and the sidecar
 with sorted keys, so identical inputs produce byte-identical files.  The
 sidecar (path + ".meta.json") carries everything the CSV cannot: ray
 geometry, wave kind, seed, tolerances, and variant flags.
+
+Trace bodies move in bulk with the bytes unchanged: the writer renders each
+ray's rows through one `%`-format row template and a single join, and the
+reader parses the whole body in one `np.loadtxt` pass.  Medium ids follow
+CSV quoting and are rendered or parsed once per distinct value.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import warnings
 from contextlib import contextmanager
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +31,13 @@ REPORT_COLUMNS = [
     "pair_a", "pair_b", "criterion", "residual", "degenerate",
 ]
 FORMAT_VERSION = 1
+# One interface row of a report; its criterion and degenerate fields are empty.
+_INTERFACE_ROW = "interface,%s,%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,,%.17g,\n"
+# One trace row: ray id, five floats, medium id (a CSV field, rendered once).
+_TRACE_ROW = ",%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
+_TRACE_DTYPE = np.dtype(
+    [("ray", "i8")] + [(name, "f8") for name in TRACE_COLUMNS[1:6]] + [("medium", "O")]
+)
 
 
 class SchemaMismatch(Exception):
@@ -91,20 +104,19 @@ def write_traces(path, traces, extra_meta: dict | None = None) -> None:
             "it in extra_meta"
         )
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(TRACE_COLUMNS)
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
         for tr in traces:
-            w.writerows(
-                zip(
-                    repeat(tr.ray_id, tr.n_samples),
-                    map(fmt_float, tr.z.tolist()),
-                    map(fmt_float, tr.incident.real.tolist()),
-                    map(fmt_float, tr.incident.imag.tolist()),
-                    map(fmt_float, tr.reflected.real.tolist()),
-                    map(fmt_float, tr.reflected.imag.tolist()),
-                    tr.medium_ids,
-                )
+            medium = {m: _csv_field(m) for m in set(tr.medium_ids)}
+            rows = zip(
+                tr.z.tolist(),
+                tr.incident.real.tolist(),
+                tr.incident.imag.tolist(),
+                tr.reflected.real.tolist(),
+                tr.reflected.imag.tolist(),
+                map(medium.__getitem__, tr.medium_ids),
             )
+            row = str(tr.ray_id) + _TRACE_ROW
+            fh.write("".join(map(row.__mod__, rows)))
     meta = {
         "kind": "traces",
         "version": FORMAT_VERSION,
@@ -126,27 +138,27 @@ def write_traces(path, traces, extra_meta: dict | None = None) -> None:
 
 def read_traces(path) -> tuple[list[FieldTrace], dict]:
     """Read traces written by write_traces (or any file matching the
-    schema); raises SchemaMismatch on header or sidecar disagreement."""
+    schema), each ray's rows in file order; raises SchemaMismatch on header
+    or sidecar disagreement and on a garbled row."""
     meta = _read_sidecar(path, "traces")
     wave_kind = meta.get("wave_kind")
     if wave_kind not in ("em", "acoustic"):
         raise SchemaMismatch(f"sidecar wave_kind {wave_kind!r} is not em/acoustic")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != TRACE_COLUMNS:
-        raise SchemaMismatch(
-            f"trace header {rows[0] if rows else None} != {TRACE_COLUMNS}"
-        )
-    grouped: dict[int, list] = {}
-    with _garbled("trace row ray id"):
-        for row in rows[1:]:
-            if len(row) != len(TRACE_COLUMNS):
-                raise SchemaMismatch(f"trace row has {len(row)} fields: {row}")
-            grouped.setdefault(int(row[0]), []).append(row)
+    with open(path) as fh:
+        header = next(csv.reader([fh.readline()]), None)
+        if header != TRACE_COLUMNS:
+            raise SchemaMismatch(f"trace header {header} != {TRACE_COLUMNS}")
+        with _garbled("trace row"), warnings.catch_warnings():
+            # A header-only file is a valid empty trace list.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            body = np.loadtxt(
+                fh, dtype=_TRACE_DTYPE, delimiter=",", quotechar='"', comments=None, ndmin=1
+            )
+    medium = {text: _parse_medium_id(text) for text in set(body["medium"].tolist())}
     traces = []
-    for ray_id in sorted(grouped):
-        rows_r = grouped[ray_id]
-        with _garbled(f"trace rows or sidecar geometry of ray {ray_id}"):
+    for ray_id in np.unique(body["ray"]).tolist():
+        rows = body[body["ray"] == ray_id]
+        with _garbled(f"sidecar geometry of ray {ray_id}"):
             ray_meta = meta.get("rays", {}).get(str(ray_id))
             if ray_meta is None:
                 raise SchemaMismatch(f"sidecar lacks ray geometry for ray {ray_id}")
@@ -156,22 +168,35 @@ def read_traces(path) -> tuple[list[FieldTrace], dict]:
                 length=float(ray_meta["length"]),
                 grid_step=float(ray_meta["grid_step"]),
             )
-            z = np.array([float(r[1]) for r in rows_r])
-            incident = np.array([complex(float(r[2]), float(r[3])) for r in rows_r])
-            reflected = np.array([complex(float(r[4]), float(r[5])) for r in rows_r])
-        medium_ids = tuple(_parse_medium_id(r[6]) for r in rows_r)
         traces.append(
             FieldTrace(
                 ray=ray,
-                z=z,
-                incident=incident,
-                reflected=reflected,
-                medium_ids=medium_ids,
+                z=rows["z"].copy(),
+                incident=_complex(rows["incident_re"], rows["incident_im"]),
+                reflected=_complex(rows["reflected_re"], rows["reflected_im"]),
+                medium_ids=tuple(map(medium.__getitem__, rows["medium"].tolist())),
                 wave_kind=wave_kind,
                 ray_id=ray_id,
             )
         )
     return traces, meta
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Parts assigned separately: re + 1j*im would turn -0.0 into 0.0 and
+    an infinite imaginary part into a nan real part."""
+    out = np.empty(len(re), dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _csv_field(value) -> str:
+    """`value` as one CSV field, quoted exactly as csv.writer quotes it
+    inside a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value, ""])
+    return buf.getvalue()[:-2]
 
 
 def _parse_medium_id(text: str):
@@ -199,24 +224,21 @@ def write_report(path, report: DetectionReport, extra_meta: dict | None = None) 
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(REPORT_COLUMNS)
-        for h in report.interface_hits:
-            w.writerow(
-                [
-                    "interface",
-                    h.ray_id,
-                    fmt_float(h.z),
-                    _join_position(h.position),
-                    fmt_float(h.measured_t.real),
-                    fmt_float(h.measured_t.imag),
-                    fmt_float(h.measured_r.real),
-                    fmt_float(h.measured_r.imag),
-                    fmt_float(h.media_pair[0]),
-                    fmt_float(h.media_pair[1]),
-                    "",
-                    fmt_float(h.residual),
-                    "",
-                ]
+        fh.write("".join(
+            _INTERFACE_ROW % (
+                h.ray_id,
+                h.z,
+                _join_position(h.position),
+                h.measured_t.real,
+                h.measured_t.imag,
+                h.measured_r.real,
+                h.measured_r.imag,
+                h.media_pair[0],
+                h.media_pair[1],
+                h.residual,
             )
+            for h in report.interface_hits
+        ))
         for v in report.vertex_hits:
             w.writerow(
                 [

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior, driven in-process through main()."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +114,18 @@ def test_simulate_empty_rays(rod, tmp_path):
     traces, meta = read_traces(out)
     assert traces == []
     assert meta["wave_kind"] == "em"
+
+
+def test_readme_example_config_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+    traces, report = tmp_path / "traces.csv", tmp_path / "report.csv"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(traces)]) == 0
+    assert cli.main(
+        ["detect", "--config", str(cfg), "--traces", str(traces), "--out", str(report)]
+    ) == 0
+    assert "wrote 2 trace(s)" in capsys.readouterr().err
 
 
 def test_simulate_deterministic(rod, tmp_path):

@@ -462,6 +462,20 @@ def test_coupled_fit_reports_why_it_stopped():
     assert reject.params["evaluations"] <= FIT_BUDGET
 
 
+@pytest.mark.parametrize("beta", [5.0, 20.0, 40.0])
+def test_coupled_fit_with_a_zero_mode_starts_from_the_phase_rate(beta):
+    # One mode identically zero makes the sample pairs rank 1: the start
+    # takes each mode's phase rate instead of zeros, so a fast rotation no
+    # longer strands the polish in a local minimum.
+    z = np.arange(21) * 0.05
+    ta = em_trace(z, np.exp(-1j * beta * z), ray_id=0)
+    tb = em_trace(z, np.zeros(21, dtype=complex), ray_id=1)
+    v = detect_vertex_coupled_mode(ta, tb, corner_window=2.0, tol=1e-6)
+    assert not v.is_vertex
+    assert v.params["stop"] == "converged"
+    assert v.params["evaluations"] < 100
+
+
 def test_levenberg_marquardt_stops_on_budget_or_convergence():
     def rosenbrock(q):
         return np.array([10.0 * (q[1] - q[0] ** 2), 1.0 - q[0]])

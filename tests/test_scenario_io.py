@@ -1,12 +1,13 @@
 """Scenario config parsing and trace/report file round trips."""
 
+import math
 import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polywave.acoustic import AcousticMedium
@@ -425,6 +426,122 @@ def test_float_serialization_exact(values):
     assert np.array_equal(back[0].incident, tr.incident)
 
 
+UNIT_RAY = Ray(origin=(0.0,), direction=(1.0,), length=1.0, grid_step=0.1)
+
+
+def em_traces_from_rows(rows):
+    """FieldTraces from (ray, z, inc_re, inc_im, ref_re, ref_im, medium)
+    rows, each ray's rows in the given order."""
+    by_ray: dict = {}
+    for ray_id, *fields in rows:
+        by_ray.setdefault(ray_id, []).append(fields)
+    traces = []
+    for ray_id, fields in by_ray.items():
+        z, inc_re, inc_im, ref_re, ref_im, medium = zip(*fields)
+        traces.append(FieldTrace(
+            ray=UNIT_RAY,
+            z=np.array(z),
+            incident=np.array([complex(r, i) for r, i in zip(inc_re, inc_im)]),
+            reflected=np.array([complex(r, i) for r, i in zip(ref_re, ref_im)]),
+            medium_ids=medium,
+            wave_kind="em",
+            ray_id=ray_id,
+        ))
+    return traces
+
+
+any_float = st.floats(width=64)  # nan, +-inf and signed zeros included
+medium_id = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.sampled_from(["", "core", "a,b", 'x"y', "#m"]),
+)
+
+
+@example(rows=[(0, -0.0, -0.0, 0.0, 0.0, math.inf, 0)])
+@given(rows=st.lists(
+    st.tuples(st.integers(min_value=0, max_value=3), *[any_float] * 5, medium_id),
+    min_size=1, max_size=12,
+))
+def test_trace_write_read_write_is_byte_identical(rows):
+    traces = em_traces_from_rows(rows)
+    with tempfile.TemporaryDirectory() as d:
+        first, second = Path(d) / "first.csv", Path(d) / "second.csv"
+        write_traces(first, traces)
+        back, _ = read_traces(first)
+        write_traces(second, back)
+        assert first.read_bytes() == second.read_bytes()
+    by_id = {tr.ray_id: tr for tr in traces}
+    for tr in back:
+        assert tr.medium_ids == by_id[tr.ray_id].medium_ids
+
+
+def test_quoted_medium_ids_roundtrip(tmp_path):
+    medium = ("a,b", 'x"y', "#m", 4)
+    traces = em_traces_from_rows(
+        [(0, 0.1 * k, 1.0, 0.0, 0.0, 0.0, m) for k, m in enumerate(medium)]
+    )
+    path = tmp_path / "quoted.csv"
+    write_traces(path, traces)
+    assert path.read_text().splitlines()[1:] == [
+        '0,0,1,0,0,0,"a,b"',
+        '0,0.10000000000000001,1,0,0,0,"x""y"',
+        "0,0.20000000000000001,1,0,0,0,#m",
+        "0,0.30000000000000004,1,0,0,0,4",
+    ]
+    back, _ = read_traces(path)
+    assert back[0].medium_ids == medium
+
+
+def test_interleaved_rays_come_back_grouped_in_file_order(tmp_path):
+    path = tmp_path / "interleaved.csv"
+    write_traces(path, em_traces_from_rows(
+        [(0, 0.0, 1.0, 0.0, 0.0, 0.0, 0), (1, 0.0, 1.0, 0.0, 0.0, 0.0, 0)]
+    ))
+    path.write_text(
+        "ray,z,incident_re,incident_im,reflected_re,reflected_im,medium\n"
+        "1,0.5,1,0,0,0,7\n"
+        "0,0.1,2,0,0,0,8\n"
+        "1,0.2,3,0,0,0,9\n"
+        "0,0.3,4,0,0,0,10\n"
+    )
+    back, _ = read_traces(path)
+    assert [tr.ray_id for tr in back] == [0, 1]
+    assert back[0].z.tolist() == [0.1, 0.3]
+    assert back[0].incident.tolist() == [2 + 0j, 4 + 0j]
+    assert back[0].medium_ids == (8, 10)
+    assert back[1].z.tolist() == [0.5, 0.2]
+    assert back[1].incident.tolist() == [1 + 0j, 3 + 0j]
+    assert back[1].medium_ids == (7, 9)
+
+
+@pytest.mark.parametrize("row", [
+    "1.5,0,1,0,0,0,0",  # ray id not an integer
+    "0,0,1,x0,0,0,0",  # garbled float
+    "0,0,1,0,0,0",  # short row
+])
+def test_bad_trace_rows_are_schema_mismatches(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    write_traces(path, em_traces_from_rows([(0, 0.0, 1.0, 0.0, 0.0, 0.0, 0)]))
+    path.write_text(path.read_text() + row + "\n")
+    with pytest.raises(SchemaMismatch, match="garbled trace row"):
+        read_traces(path)
+
+
+def test_trace_file_golden_bytes(tmp_path):
+    path = tmp_path / "golden.csv"
+    write_traces(path, em_traces_from_rows([
+        (3, 0.25, 1e-300, -2.5, -math.inf, 1 / 3, 'x"y'),
+        (0, 0.0, 1.0, 0.0, 0.0, 0.0, 0),
+        (0, 0.1, -0.0, math.inf, 0.5, -0.0, "a,b"),
+    ]))
+    assert path.read_bytes() == (
+        b"ray,z,incident_re,incident_im,reflected_re,reflected_im,medium\n"
+        b"0,0,1,0,0,0,0\n"
+        b'0,0.10000000000000001,-0,inf,0.5,-0,"a,b"\n'
+        b'3,0.25,1e-300,-2.5,-inf,0.33333333333333331,"x""y"\n'
+    )
+
+
 # ---------------------------------------------------------------------------
 # report files
 
@@ -468,6 +585,17 @@ def test_report_byte_determinism(tmp_path):
     write_report(p2, sample_report())
     assert p1.read_bytes() == p2.read_bytes()
     assert sidecar_path(p1).read_bytes() == sidecar_path(p2).read_bytes()
+
+
+def test_report_golden_bytes(tmp_path):
+    path = tmp_path / "report.csv"
+    write_report(path, sample_report())
+    assert path.read_bytes() == (
+        b"kind,ray,z,position,t_re,t_im,r_re,r_im,pair_a,pair_b,criterion,residual,degenerate\n"
+        b"interface,0,0.249,0.2495,0.80000000000000004,0,-0.20000000000000001,0,1,1.5,,0,\n"
+        b"vertex,0;1;2,,,,,,,,,cascade,3.4999999999999999e-09,0\n"
+        b"vertex,,,0.25;0.5,,,,,,,fwm,9.9999999999999998e-13,1\n"
+    )
 
 
 def test_report_schema_mismatches(tmp_path):
