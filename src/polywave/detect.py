@@ -1,7 +1,10 @@
 """Trace synthesis along rays and interface/vertex detection.
 
-A ray is marched through a simplicial complex; every facet crossing must be
-perpendicular (the traces model normal-incidence propagation).  EM traces
+A ray is marched through a simplicial complex by its precomputed
+barycentric inverses and neighbour table.  Only facets where the medium
+changes are interfaces: each crossing of one must be perpendicular (the
+traces model normal-incidence propagation), while facets between
+simplices of the same medium are transparent.  EM traces
 carry field amplitudes stepped by the Fresnel t at each interface, with an
 r-scaled reflected sample recorded on the incident side; acoustic traces
 carry intensities stepped by T_I with an R_I sample recorded likewise.
@@ -21,7 +24,9 @@ import numpy as np
 from . import acoustic as _ac
 from . import coupled_mode as _cm
 from . import fresnel as _fr
-from .geometry import GeometryError, SimplicialComplex, classify_facets
+# classify_facets is no longer called here; it stays a module attribute
+# because the benchmark's tracer wraps it by this name.
+from .geometry import GeometryError, SimplicialComplex, classify_facets  # noqa: F401
 
 
 class RayOutsideComplex(GeometryError):
@@ -121,59 +126,47 @@ class DetectionReport:
 # ---------------------------------------------------------------------------
 # ray marching and trace synthesis
 
-def _barycentric_pair(coords: np.ndarray, origin: np.ndarray, direction: np.ndarray):
-    """lam(t) = lam0 + t*lam_d along the ray, plus the inverse matrix."""
-    n = coords.shape[1]
-    m = np.ones((n + 1, n + 1))
-    m[1:, :] = coords.T
-    minv = np.linalg.inv(m)
-    lam0 = minv @ np.concatenate(([1.0], origin))
-    lam_d = minv @ np.concatenate(([0.0], direction))
-    return lam0, lam_d, minv
-
-
 def _march(c: SimplicialComplex, ray: Ray):
     """Walk the ray through the complex.
 
     Returns (crossings, segment_simplices): crossings is a list of
-    (z, facet, simplex_before, simplex_after); segment_simplices has one
-    simplex index per inter-crossing segment, starting at z=0.
+    (z, facet, simplex_before, simplex_after) at every facet between
+    different media; segment_simplices has one simplex index per
+    inter-crossing segment, starting at z=0.  Facets between simplices of
+    the same medium are crossed without a record or an incidence check.
     """
-    coords = c.vertex_array()
+    view = c.compiled
     origin = np.asarray(ray.origin, dtype=float)
     direction = np.asarray(ray.direction, dtype=float)
-    cls = classify_facets(c)
-    interface_map = {f: (a, b) for f, a, b in cls.interfaces}
-    boundary_set = {f for f, _ in cls.boundary}
     eps_t = 1e-12 * max(1.0, ray.length)
 
-    def ray_coeffs(idx: int):
-        return _barycentric_pair(coords[list(c.simplices[idx])], origin, direction)
-
+    # barycentric coordinates lam(t) = lam0 + t*lam_d along the ray, and the
+    # cosine between the ray and each facet normal, for every simplex
+    lam0_all = view.inverse @ np.concatenate(([1.0], origin))
     # containing simplices of the origin, lowest index first
-    containing = []
-    for idx in range(len(c.simplices)):
-        lam0, _, _ = ray_coeffs(idx)
-        if np.min(lam0) >= -1e-9:
-            containing.append(idx)
+    containing = np.flatnonzero(np.min(lam0_all, axis=1) >= -1e-9).tolist()
     if not containing:
         raise RayOutsideComplex(f"ray origin {ray.origin} lies outside the complex")
+    lam0 = lam0_all.tolist()
+    lam_d = (view.inverse @ np.concatenate(([0.0], direction))).tolist()
+    cosine = (view.normal @ direction).tolist()
+    neighbour = view.neighbour.tolist()
 
     def exit_of(idx: int, t_enter: float):
-        lam0, lam_d, minv = ray_coeffs(idx)
+        l0, ld = lam0[idx], lam_d[idx]
         t_exit, j_exit = math.inf, -1
-        for j in range(len(lam0)):
-            if lam_d[j] < -1e-300:
-                t_j = -lam0[j] / lam_d[j]
+        for j in range(len(l0)):
+            if ld[j] < -1e-300:
+                t_j = -l0[j] / ld[j]
                 if t_j > t_enter + eps_t and t_j < t_exit - eps_t:
                     t_exit, j_exit = t_j, j
                 elif t_j > t_enter + eps_t and abs(t_j - t_exit) <= eps_t:
                     j_exit = -2  # simultaneous facet exit: codim-2 graze
-        return t_exit, j_exit, minv
+        return t_exit, j_exit
 
     current = None
     for idx in containing:
-        t_exit, j_exit, _ = exit_of(idx, 0.0)
+        t_exit, j_exit = exit_of(idx, 0.0)
         if j_exit >= 0 and t_exit > eps_t:
             current = idx
             break
@@ -184,30 +177,28 @@ def _march(c: SimplicialComplex, ray: Ray):
     segment_simplices = [current]
     t = 0.0
     for _ in range(len(c.simplices) + 1):
-        t_exit, j_exit, minv = exit_of(current, t)
+        t_exit, j_exit = exit_of(current, t)
         if j_exit == -2:
             raise RayOutsideComplex(
                 "ray exits through a face of codimension >= 2 (ambiguous)"
             )
         if t_exit >= ray.length - eps_t:
             return crossings, segment_simplices
+        nxt = neighbour[current][j_exit]
+        if nxt >= 0 and c.media[nxt] == c.media[current]:
+            current, t = nxt, t_exit
+            continue
         simplex = c.simplices[current]
-        facet = tuple(v for k, v in enumerate(simplex) if k != j_exit)
-        grad = minv[j_exit, 1:]
-        normal = grad / np.linalg.norm(grad)
-        if abs(float(direction @ normal)) <= 1.0 - 1e-9:
+        facet = simplex[:j_exit] + simplex[j_exit + 1:]
+        if abs(cosine[current][j_exit]) <= 1.0 - 1e-9:
             raise ObliqueCrossing(
                 f"ray crosses facet {facet} at z={t_exit:.6g} away from normal"
             )
-        if facet in boundary_set:
+        if nxt < 0:
             raise RayOutsideComplex(
                 f"ray leaves the complex through boundary facet {facet} at z={t_exit:.6g}"
             )
-        pair = interface_map.get(facet)
-        if pair is None:
-            raise RayOutsideComplex(f"ray exits through unclassified facet {facet}")
-        nxt = pair[1] if pair[0] == current else pair[0]
-        crossings.append((float(t_exit), facet, current, nxt))
+        crossings.append((t_exit, facet, current, nxt))
         segment_simplices.append(nxt)
         current, t = nxt, t_exit
     raise RayOutsideComplex("ray marching did not terminate")
@@ -246,34 +237,39 @@ def synthesize_ray_trace(
             raise ValueError(f"no physical medium for id {mid!r}")
 
     # amplitude (EM) or intensity (acoustic) per segment, and the
-    # reflected sample magnitude recorded at each crossing
+    # reflected sample magnitude recorded at each crossing; the coefficients
+    # depend only on the index (EM) or impedance (acoustic) on either side
+    if is_em:
+        values = [media[mid].refractive_index for mid in seg_media]
+
+        def coefficients(n1: float, n2: float):
+            coeff = _fr.amplitude_coefficients_normal(n1, n2)
+            return coeff.t, coeff.r
+    else:
+        values = [media[mid].impedance for mid in seg_media]
+        coefficients = _ac.intensity_coefficients
+    coeffs = {}
     seg_value = [1.0 + 0j]
     refl_at_crossing = []
-    for k, (_, _, s_before, s_after) in enumerate(crossings):
-        before, after = media[c.media[s_before]], media[c.media[s_after]]
+    for pair in zip(values, values[1:]):
+        if pair not in coeffs:
+            coeffs[pair] = coefficients(*pair)
+        t_c, r_c = coeffs[pair]
         cur = seg_value[-1]
-        if is_em:
-            coeff = _fr.amplitude_coefficients_normal(
-                before.refractive_index, after.refractive_index
-            )
-            refl_at_crossing.append(coeff.r * cur)
-            seg_value.append(coeff.t * cur)
-        else:
-            t_i, r_i = _ac.intensity_coefficients(before.impedance, after.impedance)
-            refl_at_crossing.append(r_i * cur)
-            seg_value.append(t_i * cur)
+        refl_at_crossing.append(r_c * cur)
+        seg_value.append(t_c * cur)
 
     n_samples = int(math.floor(ray.length / ray.grid_step + 1e-9)) + 1
     z = np.arange(n_samples, dtype=float) * ray.grid_step
     cross_z = np.array([cz for cz, _, _, _ in crossings])
     seg_of = np.searchsorted(cross_z, z, side="right")
     incident = np.asarray(seg_value, dtype=complex)[seg_of]
-    medium_ids = tuple(seg_media[i] for i in seg_of)
+    medium_ids = tuple(map(seg_media.__getitem__, seg_of.tolist()))
     reflected = np.zeros(n_samples, dtype=complex)
-    for k, cz in enumerate(cross_z):
-        idx = int(np.searchsorted(z, cz, side="left")) - 1
-        if idx >= 0:
-            reflected[idx] += refl_at_crossing[k]
+    # the last sample strictly before each crossing, in crossing order
+    before_idx = np.searchsorted(z, cross_z, side="left") - 1
+    kept = before_idx >= 0
+    np.add.at(reflected, before_idx[kept], np.asarray(refl_at_crossing, dtype=complex)[kept])
 
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
@@ -322,28 +318,26 @@ def _scan_ratio_hits(trace: FieldTrace, coeff_table, tol: float, tol_floor: floa
         best_res[better] = res[better]
         best_pair[better] = p_idx
 
-    hits = []
-    i = 0
-    while i < n:
-        if best_pair[i] < 0:
-            i += 1
-            continue
-        first = i
-        while i < n and best_pair[i] >= 0:
-            i += 1
-        pair = coeff_table[best_pair[first]][0]
-        hits.append(
-            InterfaceHit(
-                ray_id=trace.ray_id,
-                z=float(z[first]),
-                position=trace.ray.point_at(float(z[first])),
-                measured_t=complex(t_hat[first]),
-                measured_r=complex(r_hat[first]),
-                media_pair=pair,
-                residual=float(best_res[first]),
-            )
+    flagged = best_pair >= 0
+    firsts = np.flatnonzero(flagged & ~np.concatenate(([False], flagged[:-1])))
+    return [
+        InterfaceHit(
+            ray_id=trace.ray_id,
+            z=z_first,
+            position=trace.ray.point_at(z_first),
+            measured_t=t_first,
+            measured_r=r_first,
+            media_pair=coeff_table[p_first][0],
+            residual=res_first,
         )
-    return hits
+        for z_first, t_first, r_first, p_first, res_first in zip(
+            z[firsts].tolist(),
+            t_hat[firsts].tolist(),
+            r_hat[firsts].tolist(),
+            best_pair[firsts].tolist(),
+            best_res[firsts].tolist(),
+        )
+    ]
 
 
 def detect_interfaces_em(

@@ -5,13 +5,16 @@ vertex coordinate list and a set of n-simplices (vertex-index tuples).
 Compartments are the n-simplices.  Facets ((n-1)-simplices) incident to two
 n-simplices are interfaces between compartments; facets incident to exactly
 one are the boundary.  Facet identity is the sorted vertex-index tuple, so
-orientation is never tracked.
+orientation is never tracked.  A complex compiles, once and on first use,
+into the per-simplex arrays that ray marching reads (barycentric inverses,
+facet normals and the neighbour across each facet).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +58,42 @@ class SimplicialComplex:
     def vertex_array(self) -> np.ndarray:
         return np.asarray(self.vertices, dtype=float)
 
+    @cached_property
+    def compiled(self) -> CompiledComplex:
+        """The complex's marching tables, built on first use and kept."""
+        return _compile(self)
+
+
+@dataclass(frozen=True)
+class CompiledComplex:
+    """Per-simplex arrays for ray marching; S simplices, local vertex j.
+
+    Row j of ``inverse[s]`` maps (1, x) to the barycentric coordinate of
+    vertex j at point x, so it is also the gradient of that coordinate:
+    ``normal[s, j]`` is its unit length version, normal to the facet
+    opposite vertex j.  ``neighbour[s, j]`` is the simplex across that
+    facet, or -1 where the facet lies on the boundary.
+    """
+
+    inverse: np.ndarray    # (S, n+1, n+1)
+    normal: np.ndarray     # (S, n+1, n)
+    neighbour: np.ndarray  # (S, n+1), int
+
+
+def _compile(c: SimplicialComplex) -> CompiledComplex:
+    corners = c.vertex_array()[np.array(c.simplices)]  # (S, n+1, n)
+    m = np.ones((len(c.simplices), c.dimension + 1, c.dimension + 1))
+    m[:, 1:, :] = corners.transpose(0, 2, 1)
+    inverse = np.linalg.inv(m)
+    grad = inverse[:, :, 1:]
+    normal = grad / np.linalg.norm(grad, axis=2, keepdims=True)
+    incidence = _facet_incidence(c.simplices)
+    neighbour = []
+    for idx, simplex in enumerate(c.simplices):
+        facets = (simplex[:j] + simplex[j + 1:] for j in range(len(simplex)))
+        neighbour.append([next((o for o in incidence[f] if o != idx), -1) for f in facets])
+    return CompiledComplex(inverse, normal, np.array(neighbour, dtype=int))
+
 
 @dataclass(frozen=True)
 class FacetClassification:
@@ -70,14 +109,6 @@ def _facet_incidence(simplices: tuple[Simplex, ...]) -> dict[Simplex, list[int]]
         for facet in itertools.combinations(simplex, len(simplex) - 1):
             incidence.setdefault(facet, []).append(idx)
     return incidence
-
-
-def _simplex_volume_scale(coords: np.ndarray) -> tuple[float, float]:
-    """Return (|det| of the edge matrix, max edge norm) for one n-simplex."""
-    edges = coords[1:] - coords[0]
-    scale = float(np.max(np.linalg.norm(edges, axis=1)))
-    det = float(abs(np.linalg.det(edges)))
-    return det, scale
 
 
 def build_complex(
@@ -121,11 +152,13 @@ def build_complex(
     if len(set(canonical)) != len(canonical):
         raise GeometryError("duplicate simplex (same vertex set listed twice)")
 
-    coords = np.asarray(verts, dtype=float)
-    for s in canonical:
-        det, scale = _simplex_volume_scale(coords[list(s)])
-        if scale == 0.0 or det <= 1e-12 * scale**dimension:
-            raise DegenerateSimplex(f"simplex {s} has zero volume")
+    corners = np.asarray(verts, dtype=float)[np.array(canonical)]
+    edges = corners[:, 1:] - corners[:, :1]
+    scale = np.max(np.linalg.norm(edges, axis=2), axis=1)
+    det = np.abs(np.linalg.det(edges))
+    flat = np.flatnonzero((scale == 0.0) | (det <= 1e-12 * scale**dimension))
+    if len(flat):
+        raise DegenerateSimplex(f"simplex {canonical[flat[0]]} has zero volume")
 
     for facet, owners in _facet_incidence(tuple(canonical)).items():
         if len(owners) > 2:

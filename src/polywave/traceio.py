@@ -55,7 +55,10 @@ def _garbled(what: str):
     try:
         yield
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise SchemaMismatch(f"garbled {what}: {exc}") from None
+        # numpy's field-count error ends in advice to pass `usecols`, an
+        # argument of np.loadtxt that no caller of this module can set
+        reason = str(exc).partition("; use `usecols`")[0]
+        raise SchemaMismatch(f"garbled {what}: {reason}") from None
 
 
 def sidecar_path(path) -> Path:
@@ -103,10 +106,10 @@ def write_traces(path, traces, extra_meta: dict | None = None) -> None:
             "wave_kind must be 'em' or 'acoustic'; an empty trace list needs "
             "it in extra_meta"
         )
+    medium = {m: _csv_field(m) for m in set().union(*(tr.medium_ids for tr in traces))}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for tr in traces:
-            medium = {m: _csv_field(m) for m in set(tr.medium_ids)}
             rows = zip(
                 tr.z.tolist(),
                 tr.incident.real.tolist(),

@@ -36,6 +36,7 @@ from polywave.detect import (
     verdicts_to_hits,
     _levenberg_marquardt,
     zero_delay_cascade,
+    _march,
 )
 from polywave.fresnel import EmMedium
 from polywave.fwm import GainModel, degenerate_gain
@@ -196,6 +197,64 @@ def test_oblique_crossing_rejected():
             c, {0: EmMedium(1.0), 1: EmMedium(1.5)},
             Ray(origin=(0.1, 0.1), direction=(1.0, 0.0), length=0.85, grid_step=0.01),
         )
+
+
+def unit_grid(n, medium_of):
+    """n x n grid on the unit square, each cell cut along its rising
+    diagonal; medium_of(x, y) gives the medium at a triangle's centroid."""
+    verts = [(i / n, j / n) for j in range(n + 1) for i in range(n + 1)]
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            a = j * (n + 1) + i
+            tris += [(a, a + 1, a + n + 2), (a, a + n + 1, a + n + 2)]
+    media = {
+        k: medium_of(*np.mean([verts[v] for v in tri], axis=0)) for k, tri in enumerate(tris)
+    }
+    return build_complex(2, verts, tris, media=media)
+
+
+GRID_RAY = Ray(origin=(0.005, 0.5123), direction=(1.0, 0.0), length=0.99, grid_step=0.01)
+
+
+def test_same_medium_facets_are_transparent():
+    # every cell diagonal is oblique to the ray; one medium makes them moot
+    c = unit_grid(40, lambda x, y: 0)
+    tr = synthesize_ray_trace(c, {0: EmMedium(1.5)}, GRID_RAY)
+    assert tr.n_samples == 100
+    assert np.all(tr.incident == 1.0 + 0j)
+    assert np.all(tr.reflected == 0j)
+    assert set(tr.medium_ids) == {0}
+
+
+def test_grid_records_only_the_media_change():
+    c = unit_grid(40, lambda x, y: int(x > 0.5))
+    crossings, segments = _march(c, GRID_RAY)
+    assert len(crossings) == 1
+    z, facet, before, after = crossings[0]
+    assert z == pytest.approx(0.495, abs=1e-12)
+    assert [c.vertices[v][0] for v in facet] == [0.5, 0.5]
+    assert (c.media[before], c.media[after]) == (0, 1)
+    assert len(segments) == 2 and segments[1] == after
+    tr = synthesize_ray_trace(c, {0: EmMedium(1.0), 1: EmMedium(1.5)}, GRID_RAY)
+    assert tr.incident[49] == 1.0 and tr.incident[50] == pytest.approx(0.8)
+    assert np.flatnonzero(tr.reflected).tolist() == [49]
+
+
+def test_march_crosses_a_rod_at_its_vertices():
+    rng = np.random.default_rng(5)
+    x = np.concatenate([[0.0], np.cumsum(0.5 + rng.random(30))])
+    c = build_complex(
+        1, [(float(v),) for v in x], [(i, i + 1) for i in range(30)],
+        media={i: i for i in range(30)},
+    )
+    origin = 0.3 * float(x[1])
+    ray = Ray(origin=(origin,), direction=(1.0,), length=float(x[-1]) - 0.1 - origin, grid_step=0.01)
+    crossings, segments = _march(c, ray)
+    assert segments == list(range(30))
+    assert [(f, a, b) for _, f, a, b in crossings] == [((i + 1,), i, i + 1) for i in range(29)]
+    z = np.array([cz for cz, _, _, _ in crossings])
+    assert np.max(np.abs(z - (x[1:-1] - origin))) <= 1e-12
 
 
 def test_ray_through_codimension_two_face_rejected():

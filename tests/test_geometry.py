@@ -62,6 +62,12 @@ def test_zero_length_segment_rejected():
         build_complex(1, [(0.0,), (0.0,), (1.0,)], [(0, 1), (1, 2)])
 
 
+def test_degenerate_simplex_error_names_the_first_bad_simplex():
+    verts = [(0.0,), (1.0,), (1.0,), (2.0,), (2.0,)]
+    with pytest.raises(DegenerateSimplex, match=r"^simplex \(3, 4\) has zero volume$"):
+        build_complex(1, verts, [(3, 4), (2, 3), (1, 2), (0, 1)])
+
+
 def test_unused_vertex_is_dimensional_inhomogeneity():
     with pytest.raises(DimensionalInhomogeneity):
         build_complex(1, [(0.0,), (1.0,), (5.0,)], [(0, 1)])
@@ -195,3 +201,61 @@ def test_vertex_array_shape(glued_triangles):
     arr = glued_triangles.vertex_array()
     assert arr.shape == (4, 2)
     assert arr.dtype == float
+
+
+def triangle_grid(xs, ys, rising, media=None):
+    """Rectilinear grid on nodes xs x ys, cell k cut along its rising
+    diagonal when rising[k], else along the falling one."""
+    verts = [(x, y) for y in ys for x in xs]
+    tris = []
+    for j in range(len(ys) - 1):
+        for i in range(len(xs) - 1):
+            a, b = j * len(xs) + i, j * len(xs) + i + 1
+            c, d = a + len(xs), b + len(xs)
+            if rising[j * (len(xs) - 1) + i]:
+                tris += [(a, b, d), (a, c, d)]
+            else:
+                tris += [(a, b, c), (b, c, d)]
+    return build_complex(2, verts, tris, media=media)
+
+
+@st.composite
+def triangle_grids(draw):
+    nx = draw(st.integers(min_value=1, max_value=5))
+    ny = draw(st.integers(min_value=1, max_value=5))
+    gaps = st.floats(min_value=0.05, max_value=3.0, allow_nan=False)
+    xs = np.concatenate([[0.0], np.cumsum(draw(st.lists(gaps, min_size=nx, max_size=nx)))])
+    ys = np.concatenate([[0.0], np.cumsum(draw(st.lists(gaps, min_size=ny, max_size=ny)))])
+    rising = draw(st.lists(st.booleans(), min_size=nx * ny, max_size=nx * ny))
+    return triangle_grid(xs.tolist(), ys.tolist(), rising)
+
+
+@given(st.one_of(rods(), triangle_grids()))
+def test_compiled_view_matches_per_simplex_reference(c):
+    view = c.compiled
+    assert c.compiled is view
+    coords = c.vertex_array()
+    n = c.dimension
+    for idx, simplex in enumerate(c.simplices):
+        m = np.ones((n + 1, n + 1))
+        m[1:, :] = coords[list(simplex)].T
+        assert np.array_equal(view.inverse[idx], np.linalg.inv(m))
+        for j in range(n + 1):
+            normal = view.normal[idx, j]
+            assert abs(np.linalg.norm(normal) - 1.0) <= 1e-12
+            facet = coords[[v for k, v in enumerate(simplex) if k != j]]
+            edges = facet[1:] - facet[0]
+            assert np.all(np.abs(edges @ normal) <= 1e-9 * np.linalg.norm(edges, axis=1))
+
+    def local(s, facet):
+        (j,) = [j for j, v in enumerate(c.simplices[s]) if v not in facet]
+        return j
+
+    cls = classify_facets(c)
+    expected = np.full((len(c.simplices), n + 1), -2)
+    for facet, a, b in cls.interfaces:
+        expected[a, local(a, facet)] = b
+        expected[b, local(b, facet)] = a
+    for facet, s in cls.boundary:
+        expected[s, local(s, facet)] = -1
+    assert np.array_equal(view.neighbour, expected)

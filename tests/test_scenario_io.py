@@ -527,6 +527,20 @@ def test_bad_trace_rows_are_schema_mismatches(tmp_path, row):
         read_traces(path)
 
 
+def test_field_count_error_names_row_and_counts_only(tmp_path):
+    path = tmp_path / "bad.csv"
+    write_traces(path, em_traces_from_rows([(0, 0.0, 1.0, 0.0, 0.0, 0.0, 0)] * 2))
+    lines = path.read_text().splitlines()
+    lines[2] += ",7"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaMismatch) as err:
+        read_traces(path)
+    message = str(err.value)
+    assert message.startswith("garbled trace row: ")
+    assert "7 columns but 8 were found at row 2" in message
+    assert "usecols" not in message
+
+
 def test_trace_file_golden_bytes(tmp_path):
     path = tmp_path / "golden.csv"
     write_traces(path, em_traces_from_rows([
