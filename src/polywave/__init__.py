@@ -3,7 +3,6 @@
 from .acoustic import (
     AcousticMedium,
     LineState,
-    apply_acoustic_interface,
     intensity_coefficients,
     line_state,
 )
@@ -37,7 +36,6 @@ from .fresnel import (
     EmMedium,
     InterfaceCoefficients,
     amplitude_coefficients_normal,
-    apply_interface,
     energy_residual,
 )
 from .fwm import (
@@ -54,8 +52,6 @@ from .geometry import (
     SimplicialComplex,
     build_complex,
     classify_facets,
-    k_skeleton,
-    vertex_star_interfaces,
 )
 from .scenario import Scenario, load_scenario, run_detect, run_simulate
 from .waveguide import (

@@ -79,13 +79,3 @@ def intensity_coefficients(
         t_i = 4.0 * q / (q + 1.0) ** 2
     return t_i, r_i
 
-
-def apply_acoustic_interface(
-    intensity: float, z1: float, z2: float
-) -> tuple[float, float]:
-    """(transmitted, reflected) intensity using the energy-conserving
-    coefficients."""
-    if intensity < 0:
-        raise ValueError(f"intensity must be >= 0, got {intensity}")
-    t_i, r_i = intensity_coefficients(z1, z2)
-    return t_i * intensity, r_i * intensity

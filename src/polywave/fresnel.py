@@ -16,11 +16,9 @@ class NonPositiveIndex(ValueError):
 
 @dataclass(frozen=True)
 class EmMedium:
-    """Lossless dielectric; epsilon/mu are optional bookkeeping fields."""
+    """Lossless dielectric; at normal incidence only its index matters."""
 
     refractive_index: float
-    permittivity: float | None = None
-    permeability: float | None = None
 
     def __post_init__(self):
         if self.refractive_index <= 0:
@@ -43,12 +41,6 @@ def amplitude_coefficients_normal(n1: float, n2: float) -> InterfaceCoefficients
         raise NonPositiveIndex(f"indices must be > 0, got n1={n1}, n2={n2}")
     r = (n1 - n2) / (n1 + n2)
     return InterfaceCoefficients(r=r, t=1.0 + r)
-
-
-def apply_interface(e_incident: complex, n1: float, n2: float) -> tuple[complex, complex]:
-    """(transmitted, reflected) field amplitudes for incident amplitude."""
-    c = amplitude_coefficients_normal(n1, n2)
-    return c.t * e_incident, c.r * e_incident
 
 
 def energy_residual(c: InterfaceCoefficients, n1: float, n2: float) -> float:

@@ -5,7 +5,8 @@ vertex coordinate list and a set of n-simplices (vertex-index tuples).
 Compartments are the n-simplices.  Facets ((n-1)-simplices) incident to two
 n-simplices are interfaces between compartments; facets incident to exactly
 one are the boundary.  Facet identity is the sorted vertex-index tuple, so
-orientation is never tracked.  A complex compiles, once and on first use,
+orientation is never tracked.  Facets are paired once, by sorting: cofaces
+of a facet become adjacent rows.  A complex compiles, once and on first use,
 into the per-simplex arrays that ray marching reads (barycentric inverses,
 facet normals and the neighbour across each facet).
 """
@@ -35,14 +36,6 @@ class FacetOvercount(GeometryError):
 
 class DegenerateSimplex(GeometryError):
     """An n-simplex with zero n-volume."""
-
-
-class KOutOfRange(GeometryError):
-    pass
-
-
-class UnknownVertex(GeometryError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -87,12 +80,33 @@ def _compile(c: SimplicialComplex) -> CompiledComplex:
     inverse = np.linalg.inv(m)
     grad = inverse[:, :, 1:]
     normal = grad / np.linalg.norm(grad, axis=2, keepdims=True)
-    incidence = _facet_incidence(c.simplices)
-    neighbour = []
-    for idx, simplex in enumerate(c.simplices):
-        facets = (simplex[:j] + simplex[j + 1:] for j in range(len(simplex)))
-        neighbour.append([next((o for o in incidence[f] if o != idx), -1) for f in facets])
-    return CompiledComplex(inverse, normal, np.array(neighbour, dtype=int))
+    return CompiledComplex(inverse, normal, _neighbours(c.simplices))
+
+
+def _neighbours(simplices) -> np.ndarray:
+    """(S, n+1) table: the simplex across the facet opposite local vertex j
+    of each (sorted) simplex, or -1 where that facet is on the boundary.
+
+    Raises FacetOvercount for a facet with more than two cofaces, naming
+    the lexicographically smallest one when there are several.
+    """
+    s = np.asarray(simplices, dtype=int)
+    k = s.shape[1]
+    drop = [[i for i in range(k) if i != j] for j in range(k)]
+    rows = s[:, drop].reshape(-1, k - 1)  # row s*k + j: facet opposite vertex j
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    same = np.all(rows[1:] == rows[:-1], axis=1)
+    over = np.flatnonzero(same[:-1] & same[1:])
+    if over.size:
+        facet = rows[over[0]]
+        shared = np.count_nonzero(np.all(rows == facet, axis=1))
+        raise FacetOvercount(f"facet {tuple(facet.tolist())} is shared by {shared} simplices")
+    a, b = order[:-1][same], order[1:][same]
+    neighbour = np.full(s.size, -1, dtype=int)
+    neighbour[a] = b // k
+    neighbour[b] = a // k
+    return neighbour.reshape(s.shape)
 
 
 @dataclass(frozen=True)
@@ -160,11 +174,7 @@ def build_complex(
     if len(flat):
         raise DegenerateSimplex(f"simplex {canonical[flat[0]]} has zero volume")
 
-    for facet, owners in _facet_incidence(tuple(canonical)).items():
-        if len(owners) > 2:
-            raise FacetOvercount(
-                f"facet {facet} is shared by {len(owners)} simplices"
-            )
+    _neighbours(canonical)
 
     used = set(itertools.chain.from_iterable(canonical))
     orphans = sorted(set(range(len(verts))) - used)
@@ -198,21 +208,3 @@ def classify_facets(c: SimplicialComplex) -> FacetClassification:
             boundary.append((facet, owners[0]))
     return FacetClassification(tuple(interfaces), tuple(boundary))
 
-
-def k_skeleton(c: SimplicialComplex, k: int) -> list[Simplex]:
-    """All distinct k-faces, each listed once, ascending order."""
-    if not 0 <= k <= c.dimension:
-        raise KOutOfRange(f"k must be in [0, {c.dimension}], got {k}")
-    faces = set()
-    for s in c.simplices:
-        faces.update(itertools.combinations(s, k + 1))
-    return sorted(faces)
-
-
-def vertex_star_interfaces(
-    c: SimplicialComplex, classification: FacetClassification, vertex: int
-) -> list[Simplex]:
-    """Interface facets containing `vertex`, ascending facet order."""
-    if not 0 <= vertex < len(c.vertices):
-        raise UnknownVertex(f"vertex {vertex} not in complex")
-    return [facet for facet, _, _ in classification.interfaces if vertex in facet]

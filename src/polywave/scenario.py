@@ -25,12 +25,13 @@ Example::
 
 Tuple lists use `|` between entries; vector components inside a key=value
 token are comma-separated.  Malformed input raises ConfigParseError with
-line/column diagnostics.
+line/column diagnostics, as do unknown sections, keys and tokens.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 from .acoustic import AcousticMedium
@@ -95,6 +96,18 @@ def parse_blocks(text: str) -> dict:
     return sections
 
 
+SECTION_KEYS = {  # section -> pattern of the keys it accepts
+    "geometry": r"dimension|vertices|simplices",
+    "media": r"wave_kind|medium\..*",
+    "rays": r"ray\..*",
+    "detection": r"tol|noise_sigma|seed|paper_exact|candidates",
+    "vertices": r"check\..*",
+}
+EM_TOKENS = ("n",)
+ACOUSTIC_TOKENS = ("c", "rho", "z")
+RAY_TOKENS = ("origin", "direction", "length", "grid_step")
+CHECK_TOKENS = ("chi3", "criterion", "kappa_min", "position", "pumps", "ray", "rays", "tol", "window")
+
 RAYS_PER_CRITERION = {  # criterion -> (fewest, most, as said in errors)
     "coupled_mode": (2, 2, "exactly 2 rays"),
     "cascade": (2, math.inf, "at least 2 rays"),
@@ -119,7 +132,6 @@ class Scenario:
     complex: SimplicialComplex
     wave_kind: str
     media: dict
-    chi3_by_medium: dict
     rays: list[Ray]
     tol: float = 1e-6
     noise_sigma: float = 0.0
@@ -135,13 +147,11 @@ def _req(sections: dict, name: str) -> dict:
     return sections[name]
 
 
-def _get(section: dict, key: str, default=None):
+def _get(section: dict, key: str):
     if key in section:
         return section[key]
-    if default is None:
-        _, line, col = section[""]
-        raise ConfigParseError(line, col, f"missing required key {key!r} in this section")
-    return (default, 0, 0)
+    _, line, col = section[""]
+    raise ConfigParseError(line, col, f"missing required key {key!r} in this section")
 
 
 def _float(entry, what: str) -> float:
@@ -199,6 +209,31 @@ def _token_map(entry, what: str) -> dict:
     return out
 
 
+def _known_tokens(tokens: dict, allowed: tuple, entry, what: str) -> None:
+    for k in tokens:
+        if k not in allowed:
+            _, line, col = entry
+            raise ConfigParseError(line, col, f"{what}: unknown token {k}= (accepted: {', '.join(allowed)})")
+
+
+def _known_sections(sections: dict) -> None:
+    for name, section in sections.items():
+        _, line, col = section[""]
+        if name not in SECTION_KEYS:
+            raise ConfigParseError(line, col, f"unknown section [{name}]")
+        for key, (_, line, _) in section.items():
+            if key and not re.fullmatch(SECTION_KEYS[name], key):
+                raise ConfigParseError(line, 1, f"unknown key {key!r} in [{name}]")
+
+
+def _ids(items: list[str], entry, what: str) -> tuple[int, ...]:
+    """Integer ids: '3.4', 'inf' or 'nan' is an error, not a truncated id."""
+    _, line, col = entry
+    if not items:
+        raise ConfigParseError(line, col, f"{what}: empty entry in list")
+    return tuple(_int((x, line, col), what) for x in items)
+
+
 def _indexed_keys(section: dict, prefix: str, what: str, required: bool = True):
     """Contiguous prefix.0 .. prefix.N-1 entries, in order."""
     found = {}
@@ -234,13 +269,13 @@ def _parse_vector(text: str, entry, what: str) -> tuple:
 
 def load_scenario_text(text: str) -> Scenario:
     sections = parse_blocks(text)
+    _known_sections(sections)
 
     geo = _req(sections, "geometry")
     dimension = _int(_get(geo, "dimension"), "dimension")
     vertices = _tuple_list(_get(geo, "vertices"), "vertices", " ")
-    simplices = [
-        tuple(int(x) for x in s) for s in _tuple_list(_get(geo, "simplices"), "simplices", " ")
-    ]
+    entry = _get(geo, "simplices")
+    simplices = [_ids(part.split(), entry, "simplices") for part in entry[0].split("|")]
 
     med = _req(sections, "media")
     wave_kind = _get(med, "wave_kind")[0].lower()
@@ -249,26 +284,21 @@ def load_scenario_text(text: str) -> Scenario:
         raise ConfigParseError(line, col, f"wave_kind must be em or acoustic, got {wave_kind!r}")
     medium_entries = _indexed_keys(med, "medium", "media")
     media: dict = {}
-    chi3_by_medium: dict = {}
     for i, entry in enumerate(medium_entries):
         tokens = _token_map(entry, f"medium.{i}")
         if wave_kind == "em":
             if "n" not in tokens:
                 _, line, col = entry
                 raise ConfigParseError(line, col, f"medium.{i}: EM medium needs n=<index>")
-            media[i] = EmMedium(
-                refractive_index=_float(tokens["n"], f"medium.{i} n"),
-                permittivity=_float(tokens["eps"], f"medium.{i} eps") if "eps" in tokens else None,
-                permeability=_float(tokens["mu"], f"medium.{i} mu") if "mu" in tokens else None,
-            )
-            if "chi3" in tokens:
-                chi3_by_medium[i] = _float(tokens["chi3"], f"medium.{i} chi3")
+            _known_tokens(tokens, EM_TOKENS, entry, f"medium.{i}")
+            media[i] = EmMedium(refractive_index=_float(tokens["n"], f"medium.{i} n"))
         else:
             if "z" not in tokens or "c" not in tokens:
                 _, line, col = entry
                 raise ConfigParseError(
                     line, col, f"medium.{i}: acoustic medium needs z=<impedance> c=<speed>"
                 )
+            _known_tokens(tokens, ACOUSTIC_TOKENS, entry, f"medium.{i}")
             media[i] = AcousticMedium(
                 impedance=_float(tokens["z"], f"medium.{i} z"),
                 sound_speed=_float(tokens["c"], f"medium.{i} c"),
@@ -288,10 +318,11 @@ def load_scenario_text(text: str) -> Scenario:
     rays = []
     for i, entry in enumerate(ray_entries):
         tokens = _token_map(entry, f"ray.{i}")
-        for need in ("origin", "direction", "length", "grid_step"):
+        for need in RAY_TOKENS:
             if need not in tokens:
                 _, line, col = entry
                 raise ConfigParseError(line, col, f"ray.{i}: missing {need}=")
+        _known_tokens(tokens, RAY_TOKENS, entry, f"ray.{i}")
         origin = _parse_vector(tokens["origin"][0], entry, f"ray.{i} origin")
         direction = _parse_vector(tokens["direction"][0], entry, f"ray.{i} direction")
         if len(origin) != dimension or len(direction) != dimension:
@@ -311,10 +342,7 @@ def load_scenario_text(text: str) -> Scenario:
             )
         )
 
-    scenario = Scenario(
-        complex=cpx, wave_kind=wave_kind, media=media,
-        chi3_by_medium=chi3_by_medium, rays=rays,
-    )
+    scenario = Scenario(complex=cpx, wave_kind=wave_kind, media=media, rays=rays)
 
     det = sections.get("detection", {"": ("", 0, 0)})
     if "tol" in det:
@@ -344,12 +372,13 @@ def load_scenario_text(text: str) -> Scenario:
                 _, line, col = entry
                 raise ConfigParseError(line, col, f"check.{i}: unknown criterion {criterion!r}")
             if "ray" in tokens:
-                ray_ids = (int(_float(tokens["ray"], f"check.{i} ray")),)
+                ray_ids = (_int(tokens["ray"], f"check.{i} ray"),)
             elif "rays" in tokens:
-                ray_ids = tuple(int(x) for x in _parse_vector(tokens["rays"][0], entry, f"check.{i} rays"))
+                ray_ids = _ids(tokens["rays"][0].split(","), entry, f"check.{i} rays")
             else:
                 _, line, col = entry
                 raise ConfigParseError(line, col, f"check.{i}: missing ray= or rays=")
+            _known_tokens(tokens, CHECK_TOKENS, entry, f"check.{i}")
             for r in ray_ids:
                 if not 0 <= r < len(rays):
                     _, line, col = entry

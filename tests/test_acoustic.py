@@ -11,7 +11,6 @@ from polywave.acoustic import (
     LineState,
     NonPositiveImpedance,
     PaperExactSingularity,
-    apply_acoustic_interface,
     intensity_coefficients,
     line_state,
 )
@@ -112,16 +111,6 @@ def test_reciprocity(z1, z2):
     bwd = intensity_coefficients(z2, z1)
     assert fwd[0] == pytest.approx(bwd[0], rel=1e-12)
     assert fwd[1] == pytest.approx(bwd[1], rel=1e-12, abs=1e-15)
-
-
-def test_apply_acoustic_interface():
-    assert apply_acoustic_interface(1.0, 5.0, 5.0) == (1.0, 0.0)
-    trans, refl = apply_acoustic_interface(2.0, 1.0, 4.0)
-    assert trans == pytest.approx(1.28, abs=1e-15)
-    assert refl == pytest.approx(0.72, abs=1e-15)
-    assert apply_acoustic_interface(0.0, 1.0, 4.0) == (0.0, 0.0)
-    with pytest.raises(ValueError):
-        apply_acoustic_interface(-1.0, 1.0, 4.0)
 
 
 def test_line_state_real_s_decays():

@@ -151,6 +151,27 @@ def test_simulate_bad_config_exit_2(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("old, new, bad", [
+    ("| 2 3", "| 2 inf", "inf"),
+    ("| 2 3", "| 2 nan", "nan"),
+    ("| 2 3", "| 2 3.4", "3.4"),
+    ("rays=0,1", "rays=0,inf", "inf"),
+    ("rays=0,1", "rays=0,1.9", "1.9"),
+])
+def test_non_integer_id_exit_2(old, new, bad, tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert text.count(old) == 1
+    cfg = tmp_path / "ids.cfg"
+    cfg.write_text(text.replace(old, new))
+    code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: line ")
+    assert f"expected an integer, got {bad!r}" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_missing_config_exit_2(tmp_path, capsys):
     code = cli.main(
         ["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x.csv")]

@@ -8,7 +8,6 @@ from polywave.fresnel import (
     EmMedium,
     NonPositiveIndex,
     amplitude_coefficients_normal,
-    apply_interface,
     energy_residual,
 )
 
@@ -39,26 +38,6 @@ def test_nonpositive_index_rejected():
         amplitude_coefficients_normal(0.0, 1.0)
     with pytest.raises(NonPositiveIndex):
         amplitude_coefficients_normal(1.0, -2.0)
-    with pytest.raises(NonPositiveIndex):
-        apply_interface(1.0, -1.0, 1.0)
-
-
-def test_apply_interface_scales_linearly():
-    trans, refl = apply_interface(2.0 + 0j, 1.0, 1.5)
-    assert trans == pytest.approx(1.6, abs=1e-15)
-    assert refl == pytest.approx(-0.4, abs=1e-15)
-
-
-def test_apply_interface_zero_field():
-    assert apply_interface(0j, 1.0, 3.0) == (0j, 0j)
-
-
-def test_apply_interface_complex_amplitude():
-    e = 1.0 + 2.0j
-    c = amplitude_coefficients_normal(1.0, 1.5)
-    trans, refl = apply_interface(e, 1.0, 1.5)
-    assert trans == c.t * e
-    assert refl == c.r * e
 
 
 def test_energy_residual_examples():
@@ -76,8 +55,6 @@ def test_energy_residual_flags_nonphysical_pair():
 
 
 def test_em_medium_validation():
-    m = EmMedium(refractive_index=1.5, permittivity=2.25)
-    assert m.permeability is None
     with pytest.raises(NonPositiveIndex):
         EmMedium(refractive_index=0.0)
 

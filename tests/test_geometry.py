@@ -1,4 +1,6 @@
-"""Simplicial-complex construction, facet classification, and skeletons."""
+"""Simplicial-complex construction, facet classification and pairing."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -10,12 +12,8 @@ from polywave.geometry import (
     DimensionalInhomogeneity,
     FacetOvercount,
     GeometryError,
-    KOutOfRange,
-    UnknownVertex,
     build_complex,
     classify_facets,
-    k_skeleton,
-    vertex_star_interfaces,
 )
 
 ROD_VERTICES = [(0.0,), (0.25,), (0.55,), (1.0,)]
@@ -49,6 +47,23 @@ def test_three_triangles_sharing_edge_overcount():
     verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 1.0)]
     with pytest.raises(FacetOvercount):
         build_complex(2, verts, [(0, 1, 2), (1, 2, 3), (1, 2, 4)])
+
+
+def test_facet_overcount_message_counts_every_coface():
+    verts = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (-1.0, 1.0), (0.5, -1.0)]
+    tris = [(0, 1, 2), (1, 2, 3), (1, 2, 4), (1, 2, 5)]
+    with pytest.raises(FacetOvercount, match=r"^facet \(1, 2\) is shared by 3 simplices$"):
+        build_complex(2, verts[:5], tris[:3])
+    with pytest.raises(FacetOvercount, match=r"^facet \(1, 2\) is shared by 4 simplices$"):
+        build_complex(2, verts, tris)
+
+
+def test_facet_overcount_names_the_smallest_facet():
+    # vertices 3 and 1 both end three segments; the (3,) fan is listed first
+    verts = [(float(x),) for x in range(8)]
+    segments = [(3, 4), (3, 5), (3, 6), (0, 1), (1, 2), (1, 7)]
+    with pytest.raises(FacetOvercount, match=r"^facet \(1,\) is shared by 3 simplices$"):
+        build_complex(1, verts, segments)
 
 
 def test_degenerate_simplex_rejected():
@@ -115,47 +130,6 @@ def test_single_simplex_all_boundary():
     assert len(cls.boundary) == 3
 
 
-def test_k_skeleton_top_is_simplex_list(rod, glued_triangles):
-    assert k_skeleton(rod, 1) == list(rod.simplices)
-    assert k_skeleton(glued_triangles, 2) == list(glued_triangles.simplices)
-
-
-def test_k_skeleton_vertices(rod):
-    assert k_skeleton(rod, 0) == [(0,), (1,), (2,), (3,)]
-
-
-def test_k_skeleton_edges_of_glued_triangles(glued_triangles):
-    assert len(k_skeleton(glued_triangles, 1)) == 5
-
-
-def test_k_skeleton_out_of_range(rod):
-    with pytest.raises(KOutOfRange):
-        k_skeleton(rod, 2)
-    with pytest.raises(KOutOfRange):
-        k_skeleton(rod, -1)
-
-
-def test_vertex_star_rod(rod):
-    cls = classify_facets(rod)
-    assert vertex_star_interfaces(rod, cls, 1) == [(1,)]
-    assert vertex_star_interfaces(rod, cls, 0) == []
-    with pytest.raises(UnknownVertex):
-        vertex_star_interfaces(rod, cls, 9)
-
-
-def test_vertex_star_triangle_fan():
-    # four triangles around a hub: interfaces are the three interior spokes
-    hub = (0.0, 0.0)
-    rim = [(np.cos(a), np.sin(a)) for a in np.linspace(0.0, np.pi, 5)]
-    verts = [hub] + rim
-    tris = [(0, i, i + 1) for i in range(1, 5)]
-    c = build_complex(2, verts, tris)
-    cls = classify_facets(c)
-    star = vertex_star_interfaces(c, cls, 0)
-    assert len(star) == 3
-    assert all(0 in f for f in star)
-
-
 @st.composite
 def rods(draw):
     n_seg = draw(st.integers(min_value=1, max_value=12))
@@ -175,7 +149,7 @@ def rods(draw):
 @given(rods())
 def test_facets_partition(c):
     cls = classify_facets(c)
-    facets = k_skeleton(c, c.dimension - 1)
+    facets = sorted({f for s in c.simplices for f in itertools.combinations(s, c.dimension)})
     assert len(cls.interfaces) + len(cls.boundary) == len(facets)
     seen = [f for f, _, _ in cls.interfaces] + [f for f, _ in cls.boundary]
     assert sorted(seen) == facets
@@ -183,7 +157,8 @@ def test_facets_partition(c):
 
 @given(rods())
 def test_rebuild_from_skeleton_idempotent(c):
-    again = build_complex(c.dimension, c.vertices, k_skeleton(c, c.dimension))
+    top = sorted({f for s in c.simplices for f in itertools.combinations(s, c.dimension + 1)})
+    again = build_complex(c.dimension, c.vertices, top)
     assert again.vertices == c.vertices
     assert again.simplices == c.simplices
 
@@ -259,3 +234,32 @@ def test_compiled_view_matches_per_simplex_reference(c):
     for facet, s in cls.boundary:
         expected[s, local(s, facet)] = -1
     assert np.array_equal(view.neighbour, expected)
+
+
+def kuhn_cube(m):
+    """m x m x m unit cubes, each cut into the six tetrahedra that share its
+    main diagonal (Kuhn's triangulation, consistent across cube faces)."""
+    def vid(x, y, z):
+        return (z * (m + 1) + y) * (m + 1) + x
+
+    verts = [(float(x), float(y), float(z))
+             for z in range(m + 1) for y in range(m + 1) for x in range(m + 1)]
+    tets = []
+    for corner in itertools.product(range(m), repeat=3):
+        for axes in itertools.permutations(range(3)):
+            p = list(corner)
+            path = [vid(*p)]
+            for axis in axes:
+                p[axis] += 1
+                path.append(vid(*p))
+            tets.append(tuple(path))
+    return build_complex(3, verts, tets)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_compiled_view_matches_reference_on_kuhn_cube(m):
+    c = kuhn_cube(m)
+    assert len(c.simplices) == 6 * m**3
+    test_compiled_view_matches_per_simplex_reference.hypothesis.inner_test(c)
+    # the cube's surface: 6 sides of m^2 squares, two triangles each
+    assert np.count_nonzero(c.compiled.neighbour == -1) == 12 * m**2

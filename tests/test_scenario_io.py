@@ -193,7 +193,6 @@ def test_rod_scenario_fields():
     assert sc.wave_kind == "em"
     assert sc.complex.dimension == 1
     assert sc.media == {0: EmMedium(1.0), 1: EmMedium(1.5), 2: EmMedium(2.0)}
-    assert sc.chi3_by_medium == {}
     assert len(sc.rays) == 1
     assert sc.rays[0].origin == (0.0005,)
     assert sc.tol == 1e-6
@@ -233,9 +232,7 @@ def test_chi3_and_vertex_checks():
 [vertices]
 check.0 = criterion=fwm ray=0 tol=1e-3 window=0.5 chi3=1e-22 pumps=1,2,3
 """
-    text = text.replace("medium.1 = n=1.5", "medium.1 = n=1.5 chi3=1e-22")
     sc = load_scenario_text(text)
-    assert sc.chi3_by_medium == {1: 1e-22}
     assert len(sc.vertex_checks) == 1
     chk = sc.vertex_checks[0]
     assert chk.criterion == "fwm"
@@ -244,6 +241,33 @@ check.0 = criterion=fwm ray=0 tol=1e-3 window=0.5 chi3=1e-22 pumps=1,2,3
     assert chk.window == 0.5
     assert chk.chi3 == 1e-22
     assert chk.pumps == (1.0, 2.0, 3.0)
+
+
+def test_medium_chi3_is_rejected():
+    err = parse_error(ROD_CONFIG.replace("medium.1 = n=1.5", "medium.1 = n=1.5 chi3=1e-22"))
+    assert "unknown token chi3=" in err.message
+    assert err.line == 10 and err.col > len("medium.1")
+
+
+@pytest.mark.parametrize("base, old, new, message", [
+    (ROD_CONFIG, "n=1.5", "n=1.5 eps=2.25", "medium.1: unknown token eps= (accepted: n)"),
+    (ROD_CONFIG, "n=1.5", "n=1.5 mu=1.0", "medium.1: unknown token mu="),
+    (ACOUSTIC_CONFIG, "rho=2.0", "rho=2.0 n=1.5", "medium.1: unknown token n= (accepted: c, rho, z)"),
+    (ROD_CONFIG, "grid_step=0.001", "grid_step=0.001 step=2", "ray.0: unknown token step="),
+    (ROD_CONFIG + "\n[vertices]\ncheck.0 = criterion=fwm ray=0\n", "ray=0", "ray=0 tl=5",
+     "check.0: unknown token tl="),
+    (ROD_CONFIG, "seed = 1234", "seed = 1234\nnoise = 0.01", "unknown key 'noise' in [detection]"),
+    (ROD_CONFIG, "dimension = 1", "dimension = 1\ndim = 2", "unknown key 'dim' in [geometry]"),
+    (ROD_CONFIG, "wave_kind = em", "wave_kind = em\nmedia.0 = n=1.0", "unknown key 'media.0' in [media]"),
+    (ROD_CONFIG, "[rays]", "[rays]\norigin = 0.5", "unknown key 'origin' in [rays]"),
+    (ROD_CONFIG + "\n[vertices]\ncheck.0 = criterion=fwm ray=0\n", "check.0 = criterion=fwm ray=0",
+     "check = criterion=fwm ray=0", "unknown key 'check' in [vertices]"),
+    (ROD_CONFIG, "[detection]", "[detect]", "unknown section [detect]"),
+])
+def test_unknown_input_is_a_parse_error(base, old, new, message):
+    err = parse_error(base.replace(old, new))
+    assert message in err.message
+    assert err.line > 0 and err.col > 0
 
 
 def test_vertex_check_validation():
