@@ -59,6 +59,10 @@ class Ray:
     def __post_init__(self):
         if len(self.origin) != len(self.direction):
             raise ValueError("origin and direction dimensions differ")
+        # every comparison below is false for NaN, so finiteness is checked first
+        numbers = (*self.origin, *self.direction, self.length, self.grid_step)
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError("origin, direction, length and grid_step must be finite")
         norm = math.sqrt(sum(d * d for d in self.direction))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"direction must be unit length, |d| = {norm}")
@@ -690,23 +694,3 @@ def detect_vertex_fwm(
         },
         degenerate=degenerate,
     )
-
-
-def verdicts_to_hits(verdicts) -> list[VertexHit]:
-    """Accepted verdicts as report rows (degenerate accepted ones keep
-    their flag)."""
-    hits = []
-    for v in verdicts:
-        if not v.is_vertex:
-            continue
-        ray_ids = v.params.get("ray_ids", ())
-        hits.append(
-            VertexHit(
-                position=v.position,
-                criterion=v.criterion,
-                residual=v.residual,
-                ray_ids=tuple(ray_ids),
-                degenerate=v.degenerate,
-            )
-        )
-    return hits

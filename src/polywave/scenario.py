@@ -23,9 +23,13 @@ Example::
     seed = 1234
     candidates = 1.0,1.5 | 1.5,2.0 | 1.0,2.0
 
-Tuple lists use `|` between entries; vector components inside a key=value
-token are comma-separated.  Malformed input raises ConfigParseError with
-line/column diagnostics, as do unknown sections, keys and tokens.
+`SECTIONS` is the one table of what a config accepts: each section's keys
+and the `key=value` tokens of each numbered `key.i` entry, each with the
+converter that reads it.  Lists use `|` between entries; vector components
+inside a token are comma-separated.  Input the table does not accept raises
+ConfigParseError with its line and column: an unknown, malformed, repeated
+or missing token, section or key, an index not written 0, 1, 2, ..., an id
+that is not a plain integer, and a number that is not finite.
 """
 
 from __future__ import annotations
@@ -38,13 +42,13 @@ from .acoustic import AcousticMedium
 from .detect import (
     DetectionReport,
     Ray,
+    VertexHit,
     detect_interfaces_acoustic,
     detect_interfaces_em,
     detect_vertex_cascade,
     detect_vertex_coupled_mode,
     detect_vertex_fwm,
     synthesize_ray_trace,
-    verdicts_to_hits,
 )
 from .fresnel import EmMedium
 from .geometry import SimplicialComplex, build_complex
@@ -96,25 +100,6 @@ def parse_blocks(text: str) -> dict:
     return sections
 
 
-SECTION_KEYS = {  # section -> pattern of the keys it accepts
-    "geometry": r"dimension|vertices|simplices",
-    "media": r"wave_kind|medium\..*",
-    "rays": r"ray\..*",
-    "detection": r"tol|noise_sigma|seed|paper_exact|candidates",
-    "vertices": r"check\..*",
-}
-EM_TOKENS = ("n",)
-ACOUSTIC_TOKENS = ("c", "rho", "z")
-RAY_TOKENS = ("origin", "direction", "length", "grid_step")
-CHECK_TOKENS = ("chi3", "criterion", "kappa_min", "position", "pumps", "ray", "rays", "tol", "window")
-
-RAYS_PER_CRITERION = {  # criterion -> (fewest, most, as said in errors)
-    "coupled_mode": (2, 2, "exactly 2 rays"),
-    "cascade": (2, math.inf, "at least 2 rays"),
-    "fwm": (1, 1, "exactly 1 ray"),
-}
-
-
 @dataclass
 class VertexCheck:
     criterion: str
@@ -141,270 +126,262 @@ class Scenario:
     vertex_checks: list = field(default_factory=list)
 
 
-def _req(sections: dict, name: str) -> dict:
-    if name not in sections:
-        raise ConfigParseError(0, 0, f"missing required section [{name}]")
-    return sections[name]
+# ---------------------------------------------------------------------------
+# converters: text -> value, or a ValueError that says what was expected
+
+_INT = r"[+-]?[0-9]+"
+_INTEGER = re.compile(_INT)
+_INDEX = re.compile(r"0|[1-9][0-9]*")  # the i of key.i: no sign, no leading zero
 
 
-def _get(section: dict, key: str):
-    if key in section:
-        return section[key]
-    _, line, col = section[""]
-    raise ConfigParseError(line, col, f"missing required key {key!r} in this section")
-
-
-def _float(entry, what: str) -> float:
-    value, line, col = entry
+def _number(text: str) -> float:
     try:
-        return float(value)
+        value = float(text)
     except ValueError:
-        raise ConfigParseError(line, col, f"{what}: expected a number, got {value!r}") from None
+        raise ValueError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
-def _int(entry, what: str) -> int:
-    value, line, col = entry
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigParseError(line, col, f"{what}: expected an integer, got {value!r}") from None
+def _integer(text: str) -> int:
+    """An optional sign and ASCII digits: '3.4', 'inf' and '0_3' are errors."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
 
 
-def _bool(entry, what: str) -> bool:
-    value, line, col = entry
-    if value.lower() in ("true", "1", "yes"):
+def _flag(text: str) -> bool:
+    if text.lower() in ("true", "1", "yes"):
         return True
-    if value.lower() in ("false", "0", "no"):
+    if text.lower() in ("false", "0", "no"):
         return False
-    raise ConfigParseError(line, col, f"{what}: expected true/false, got {value!r}")
+    raise ValueError(f"expected true/false, got {text!r}")
 
 
-def _tuple_list(entry, what: str, sep: str):
-    """Split 'a b | c d' (sep=' ') or 'a,b | c,d' (sep=',') into float tuples."""
-    value, line, col = entry
-    out = []
-    for part in value.split("|"):
-        part = part.strip()
-        if not part:
-            raise ConfigParseError(line, col, f"{what}: empty entry in list")
-        items = part.split(sep) if sep != " " else part.split()
-        try:
-            out.append(tuple(float(x) for x in items))
-        except ValueError:
-            raise ConfigParseError(line, col, f"{what}: bad entry {part!r}") from None
-    return out
+def _numbers(sep: str | None):
+    """Numbers split by sep (by whitespace when None)."""
+    return lambda text: tuple(map(_number, text.split(sep)))
 
 
-def _token_map(entry, what: str) -> dict:
-    """Split 'a=1 b=2,3' into {'a': '1', 'b': '2,3'} keeping positions."""
-    value, line, col = entry
-    out = {}
-    for token in value.split():
-        if "=" not in token:
-            raise ConfigParseError(line, col, f"{what}: expected key=value tokens, got {token!r}")
-        k, _, v = token.partition("=")
-        if not k or not v:
-            raise ConfigParseError(line, col, f"{what}: malformed token {token!r}")
-        out[k] = (v, line, col)
-    return out
+def _integers(sep: str | None):
+    """Integers split by sep (by whitespace when None).  One regex checks the
+    whole list; only a list that fails it is read id by id, to name the bad id."""
+    between = r"\s+" if sep is None else re.escape(sep)
+    pattern = re.compile(rf"{_INT}(?:{between}{_INT})*")
+    return lambda text: tuple(map(int if pattern.fullmatch(text) else _integer, text.split(sep)))
 
 
-def _known_tokens(tokens: dict, allowed: tuple, entry, what: str) -> None:
-    for k in tokens:
-        if k not in allowed:
-            _, line, col = entry
-            raise ConfigParseError(line, col, f"{what}: unknown token {k}= (accepted: {', '.join(allowed)})")
+_vector = _numbers(",")
 
 
-def _known_sections(sections: dict) -> None:
-    for name, section in sections.items():
-        _, line, col = section[""]
-        if name not in SECTION_KEYS:
-            raise ConfigParseError(line, col, f"unknown section [{name}]")
-        for key, (_, line, _) in section.items():
-            if key and not re.fullmatch(SECTION_KEYS[name], key):
-                raise ConfigParseError(line, 1, f"unknown key {key!r} in [{name}]")
+def _pair(text: str) -> tuple[float, float]:
+    pair = _vector(text)
+    if len(pair) != 2:
+        raise ValueError(f"need pairs, got {len(pair)} numbers")
+    return pair
 
 
-def _ids(items: list[str], entry, what: str) -> tuple[int, ...]:
-    """Integer ids: '3.4', 'inf' or 'nan' is an error, not a truncated id."""
-    _, line, col = entry
-    if not items:
-        raise ConfigParseError(line, col, f"{what}: empty entry in list")
-    return tuple(_int((x, line, col), what) for x in items)
+def _list(item):
+    """Entries split by '|', each read by item."""
 
-
-def _indexed_keys(section: dict, prefix: str, what: str, required: bool = True):
-    """Contiguous prefix.0 .. prefix.N-1 entries, in order."""
-    found = {}
-    for key in section:
-        if key.startswith(prefix + "."):
-            suffix = key[len(prefix) + 1 :]
-            _, line, col = section[key]
+    def convert(text: str) -> list:
+        out = []
+        for part in map(str.strip, text.split("|")):
+            if not part:
+                raise ValueError("empty entry in list")
             try:
-                idx = int(suffix)
-            except ValueError:
-                raise ConfigParseError(line, 1, f"{what}: bad index in key {key!r}") from None
-            found[idx] = section[key]
-    if not found:
-        if not required:
-            return []
-        _, line, col = section[""]
-        raise ConfigParseError(line, col, f"{what}: no {prefix}.<i> entries")
-    if sorted(found) != list(range(len(found))):
-        _, line, col = section[""]
-        raise ConfigParseError(
-            line, col, f"{what}: {prefix} indices must be contiguous from 0, got {sorted(found)}"
-        )
-    return [found[i] for i in range(len(found))]
+                out.append(item(part))
+            except ValueError as exc:
+                raise ValueError(f"bad entry {part!r}: {exc}") from None
+        return out
+
+    return convert
 
 
-def _parse_vector(text: str, entry, what: str) -> tuple:
-    try:
-        return tuple(float(x) for x in text.split(","))
-    except ValueError:
-        _, line, col = entry
-        raise ConfigParseError(line, col, f"{what}: bad vector {text!r}") from None
+def _one_of(options, noun: str, fold=str):
+    def convert(text: str) -> str:
+        if fold(text) not in options:
+            raise ValueError(f"unknown {noun} {text!r} (accepted: {', '.join(sorted(options))})")
+        return fold(text)
+
+    return convert
+
+
+# ---------------------------------------------------------------------------
+# the table: every section, key and token a config accepts, and its converter
+
+RAYS_PER_CRITERION = {  # criterion -> (fewest, most, as said in errors)
+    "coupled_mode": (2, 2, "exactly 2 rays"),
+    "cascade": (2, math.inf, "at least 2 rays"),
+    "fwm": (1, 1, "exactly 1 ray"),
+}
+
+# A token table maps each token of a `key.i` entry to (the field it sets,
+# its converter, whether the field is required).  Tokens that set the same
+# field are alternatives, of which at most one may be given.
+MEDIA = {  # wave kind -> (medium class, token table)
+    "em": (EmMedium, {"n": ("refractive_index", _number, True)}),
+    "acoustic": (AcousticMedium, {
+        "z": ("impedance", _number, True),
+        "c": ("sound_speed", _number, True),
+        "rho": ("density", _number, False),
+    }),
+}
+
+SECTIONS = {  # section -> (required, {key: converter, or `key.i`: its token table})
+    "geometry": (True, {
+        "dimension": _integer,
+        "vertices": _list(_numbers(None)),
+        "simplices": _list(_integers(None)),
+    }),
+    "media": (True, {"wave_kind": _one_of(MEDIA, "wave kind", str.lower), "medium.i": MEDIA}),
+    "rays": (True, {"ray.i": {
+        "origin": ("origin", _vector, True),
+        "direction": ("direction", _vector, True),
+        "length": ("length", _number, True),
+        "grid_step": ("grid_step", _number, True),
+    }}),
+    "detection": (False, {
+        "tol": _number,
+        "noise_sigma": _number,
+        "seed": _integer,
+        "paper_exact": _flag,
+        "candidates": _list(_pair),
+    }),
+    "vertices": (False, {"check.i": {
+        "criterion": ("criterion", _one_of(RAYS_PER_CRITERION, "criterion"), True),
+        "ray": ("ray_ids", lambda text: (_integer(text),), True),
+        "rays": ("ray_ids", _integers(","), True),
+        "tol": ("tol", _number, False),
+        "window": ("window", _number, False),
+        "position": ("position", _vector, False),
+        "kappa_min": ("kappa_min", _number, False),
+        "chi3": ("chi3", _number, False),
+        "pumps": ("pumps", _vector, False),
+    }}),
+}
+
+
+def _fail(entry, message: str):
+    _, line, col = entry
+    raise ConfigParseError(line, col, message)
+
+
+def _section(sections: dict, name: str) -> tuple[dict, list, dict | None]:
+    """[name]'s plain keys, converted; its `key.i` entries as (key, entry)
+    pairs, in index order; and the token table of those entries."""
+    required, table = SECTIONS[name]
+    tokens = next((table[key] for key in table if "." in key), None)
+    if name not in sections:
+        if required:
+            raise ConfigParseError(0, 0, f"missing required section [{name}]")
+        return {}, [], tokens
+    fields, entries = {}, {}
+    for key, entry in sections[name].items():
+        if not key:  # the section header's position
+            continue
+        prefix, dot, index = key.partition(".")
+        if (prefix + ".i" if dot else key) not in table:
+            raise ConfigParseError(entry[1], 1, f"unknown key {key!r} in [{name}]")
+        if not dot:
+            try:
+                fields[key] = table[key](entry[0])
+            except ValueError as exc:
+                _fail(entry, f"{key}: {exc}")
+        elif _INDEX.fullmatch(index):
+            entries[int(index)] = (key, entry)
+        else:
+            raise ConfigParseError(entry[1], 1, f"{name}: bad index in key {key!r} (use 0, 1, ...)")
+    header = sections[name][""]
+    for key in table:
+        if required and "." not in key and key not in fields:
+            _fail(header, f"missing required key {key!r} in this section")
+    if sorted(entries) != list(range(len(entries))):
+        _fail(header, f"{name}: indices must be contiguous from 0, got {sorted(entries)}")
+    return fields, [entries[i] for i in range(len(entries))], tokens
+
+
+def _spelled(table: dict, field: str) -> str:
+    """The tokens that set field, as written: 'n=', or 'ray= or rays='."""
+    return " or ".join(f"{token}=" for token, spec in table.items() if spec[0] == field)
+
+
+def _tokens(entry, what: str, table: dict) -> dict:
+    """The fields of an 'a=1 b=2,3' entry, read by its token table.
+    Malformed, repeated, missing required and unknown tokens are errors,
+    reported in that order; then each value is converted."""
+    given = {}
+    for token in entry[0].split():
+        key, _, text = token.partition("=")
+        if not key or not text:
+            _fail(entry, f"{what}: malformed token {token!r}, expected key=value")
+        if key in given:
+            _fail(entry, f"{what}: repeated token {key}=")
+        given[key] = text
+    for token, (field, _, required) in table.items():
+        if required and token not in given and not any(
+            table[key][0] == field for key in given if key in table
+        ):
+            needs = dict.fromkeys(_spelled(table, f) for f, _, req in table.values() if req)
+            _fail(entry, f"{what}: missing {_spelled(table, field)} (needs {' '.join(needs)})")
+    if not given.keys() <= table.keys():
+        unknown = next(key for key in given if key not in table)
+        _fail(entry, f"{what}: unknown token {unknown}= (accepted: {', '.join(sorted(table))})")
+    fields = {}
+    for key, text in given.items():
+        field, convert, _ = table[key]
+        if field in fields:
+            _fail(entry, f"{what}: give only one of {_spelled(table, field)}")
+        try:
+            fields[field] = convert(text)
+        except ValueError as exc:
+            _fail(entry, f"{what} {key}: {exc}")
+    return fields
 
 
 def load_scenario_text(text: str) -> Scenario:
     sections = parse_blocks(text)
-    _known_sections(sections)
+    for name, section in sections.items():
+        if name not in SECTIONS:
+            _fail(section[""], f"unknown section [{name}]")
+    geometry, _, _ = _section(sections, "geometry")
+    media_keys, medium_entries, kinds = _section(sections, "media")
+    medium_class, medium_tokens = kinds[media_keys["wave_kind"]]
+    media = {
+        i: medium_class(**_tokens(entry, key, medium_tokens))
+        for i, (key, entry) in enumerate(medium_entries)
+    }
+    if len(media) != len(geometry["simplices"]):
+        count = f"{len(media)} media for {len(geometry['simplices'])} simplices"
+        _fail(sections["media"][""], f"{count}; every simplex needs one")
+    cpx = build_complex(media={i: i for i in media}, **geometry)
 
-    geo = _req(sections, "geometry")
-    dimension = _int(_get(geo, "dimension"), "dimension")
-    vertices = _tuple_list(_get(geo, "vertices"), "vertices", " ")
-    entry = _get(geo, "simplices")
-    simplices = [_ids(part.split(), entry, "simplices") for part in entry[0].split("|")]
-
-    med = _req(sections, "media")
-    wave_kind = _get(med, "wave_kind")[0].lower()
-    if wave_kind not in ("em", "acoustic"):
-        _, line, col = _get(med, "wave_kind")
-        raise ConfigParseError(line, col, f"wave_kind must be em or acoustic, got {wave_kind!r}")
-    medium_entries = _indexed_keys(med, "medium", "media")
-    media: dict = {}
-    for i, entry in enumerate(medium_entries):
-        tokens = _token_map(entry, f"medium.{i}")
-        if wave_kind == "em":
-            if "n" not in tokens:
-                _, line, col = entry
-                raise ConfigParseError(line, col, f"medium.{i}: EM medium needs n=<index>")
-            _known_tokens(tokens, EM_TOKENS, entry, f"medium.{i}")
-            media[i] = EmMedium(refractive_index=_float(tokens["n"], f"medium.{i} n"))
-        else:
-            if "z" not in tokens or "c" not in tokens:
-                _, line, col = entry
-                raise ConfigParseError(
-                    line, col, f"medium.{i}: acoustic medium needs z=<impedance> c=<speed>"
-                )
-            _known_tokens(tokens, ACOUSTIC_TOKENS, entry, f"medium.{i}")
-            media[i] = AcousticMedium(
-                impedance=_float(tokens["z"], f"medium.{i} z"),
-                sound_speed=_float(tokens["c"], f"medium.{i} c"),
-                density=_float(tokens["rho"], f"medium.{i} rho") if "rho" in tokens else None,
-            )
-    if len(media) != len(simplices):
-        _, line, col = med[""]
-        raise ConfigParseError(
-            line, col, f"{len(media)} media for {len(simplices)} simplices; every simplex needs one"
-        )
-
-    cpx = build_complex(dimension, vertices, simplices, media={i: i for i in range(len(simplices))})
-
-    rays_sec = _req(sections, "rays")
     # an empty [rays] block is legal: simulate then writes an empty trace file
-    ray_entries = _indexed_keys(rays_sec, "ray", "rays", required=False)
+    _, ray_entries, ray_tokens = _section(sections, "rays")
     rays = []
-    for i, entry in enumerate(ray_entries):
-        tokens = _token_map(entry, f"ray.{i}")
-        for need in RAY_TOKENS:
-            if need not in tokens:
-                _, line, col = entry
-                raise ConfigParseError(line, col, f"ray.{i}: missing {need}=")
-        _known_tokens(tokens, RAY_TOKENS, entry, f"ray.{i}")
-        origin = _parse_vector(tokens["origin"][0], entry, f"ray.{i} origin")
-        direction = _parse_vector(tokens["direction"][0], entry, f"ray.{i} direction")
-        if len(origin) != dimension or len(direction) != dimension:
-            _, line, col = entry
-            raise ConfigParseError(line, col, f"ray.{i}: origin/direction must have {dimension} components")
+    for key, entry in ray_entries:
+        fields = _tokens(entry, key, ray_tokens)
+        direction = fields["direction"]
+        if len(fields["origin"]) != cpx.dimension or len(direction) != cpx.dimension:
+            _fail(entry, f"{key}: origin/direction must have {cpx.dimension} components")
         norm = math.sqrt(sum(d * d for d in direction))
         if norm == 0.0:
-            _, line, col = entry
-            raise ConfigParseError(line, col, f"ray.{i}: zero direction vector")
-        direction = tuple(d / norm for d in direction)
-        rays.append(
-            Ray(
-                origin=origin,
-                direction=direction,
-                length=_float(tokens["length"], f"ray.{i} length"),
-                grid_step=_float(tokens["grid_step"], f"ray.{i} grid_step"),
-            )
-        )
+            _fail(entry, f"{key}: zero direction vector")
+        rays.append(Ray(**{**fields, "direction": tuple(d / norm for d in direction)}))
 
-    scenario = Scenario(complex=cpx, wave_kind=wave_kind, media=media, rays=rays)
-
-    det = sections.get("detection", {"": ("", 0, 0)})
-    if "tol" in det:
-        scenario.tol = _float(det["tol"], "tol")
-    if "noise_sigma" in det:
-        scenario.noise_sigma = _float(det["noise_sigma"], "noise_sigma")
-    if "seed" in det:
-        scenario.seed = _int(det["seed"], "seed")
-    if "paper_exact" in det:
-        scenario.paper_exact = _bool(det["paper_exact"], "paper_exact")
-    if "candidates" in det:
-        pairs = _tuple_list(det["candidates"], "candidates", ",")
-        for p in pairs:
-            if len(p) != 2:
-                _, line, col = det["candidates"]
-                raise ConfigParseError(line, col, f"candidates: need pairs, got {p}")
-        scenario.candidates = pairs
-
-    if "vertices" in sections:
-        for i, entry in enumerate(_indexed_keys(sections["vertices"], "check", "vertices")):
-            tokens = _token_map(entry, f"check.{i}")
-            if "criterion" not in tokens:
-                _, line, col = entry
-                raise ConfigParseError(line, col, f"check.{i}: missing criterion=")
-            criterion = tokens["criterion"][0]
-            if criterion not in RAYS_PER_CRITERION:
-                _, line, col = entry
-                raise ConfigParseError(line, col, f"check.{i}: unknown criterion {criterion!r}")
-            if "ray" in tokens:
-                ray_ids = (_int(tokens["ray"], f"check.{i} ray"),)
-            elif "rays" in tokens:
-                ray_ids = _ids(tokens["rays"][0].split(","), entry, f"check.{i} rays")
-            else:
-                _, line, col = entry
-                raise ConfigParseError(line, col, f"check.{i}: missing ray= or rays=")
-            _known_tokens(tokens, CHECK_TOKENS, entry, f"check.{i}")
-            for r in ray_ids:
-                if not 0 <= r < len(rays):
-                    _, line, col = entry
-                    raise ConfigParseError(line, col, f"check.{i}: no ray {r}")
-            low, high, wanted = RAYS_PER_CRITERION[criterion]
-            if not low <= len(ray_ids) <= high:
-                _, line, col = entry
-                raise ConfigParseError(
-                    line, col, f"check.{i}: {criterion} takes {wanted}, got {len(ray_ids)}"
-                )
-            check = VertexCheck(
-                criterion=criterion,
-                ray_ids=ray_ids,
-                tol=_float(tokens["tol"], f"check.{i} tol") if "tol" in tokens else scenario.tol,
-            )
-            if "window" in tokens:
-                check.window = _float(tokens["window"], f"check.{i} window")
-            if "position" in tokens:
-                check.position = _parse_vector(tokens["position"][0], entry, f"check.{i} position")
-            if "kappa_min" in tokens:
-                check.kappa_min = _float(tokens["kappa_min"], f"check.{i} kappa_min")
-            if "chi3" in tokens:
-                check.chi3 = _float(tokens["chi3"], f"check.{i} chi3")
-            if "pumps" in tokens:
-                check.pumps = _parse_vector(tokens["pumps"][0], entry, f"check.{i} pumps")
-            scenario.vertex_checks.append(check)
+    detection, _, _ = _section(sections, "detection")
+    scenario = Scenario(complex=cpx, media=media, rays=rays, **media_keys, **detection)
+    _, check_entries, check_tokens = _section(sections, "vertices")
+    for key, entry in check_entries:
+        check = VertexCheck(**{"tol": scenario.tol, **_tokens(entry, key, check_tokens)})
+        absent = [r for r in check.ray_ids if not 0 <= r < len(rays)]
+        if absent:
+            _fail(entry, f"{key}: no ray {absent[0]}")
+        low, high, wanted = RAYS_PER_CRITERION[check.criterion]
+        if not low <= len(check.ray_ids) <= high:
+            _fail(entry, f"{key}: {check.criterion} takes {wanted}, got {len(check.ray_ids)}")
+        scenario.vertex_checks.append(check)
     return scenario
 
 
@@ -442,7 +419,7 @@ def run_detect(scenario: Scenario, traces) -> DetectionReport:
                     tr, scenario.candidates, scenario.tol, paper_exact=scenario.paper_exact
                 )
             )
-    verdicts = []
+    vertex_hits = []
     for check in scenario.vertex_checks:
         missing = [r for r in check.ray_ids if r not in by_id]
         if missing:
@@ -452,18 +429,24 @@ def run_detect(scenario: Scenario, traces) -> DetectionReport:
             window = check.window
             if window is None:
                 window = float(trs[0].z[-1] - trs[0].z[0]) + trs[0].ray.grid_step
-            verdicts.append(
-                detect_vertex_coupled_mode(trs[0], trs[1], window, check.tol, check.kappa_min)
-            )
+            verdict = detect_vertex_coupled_mode(trs[0], trs[1], window, check.tol, check.kappa_min)
         elif check.criterion == "cascade":
-            verdicts.append(detect_vertex_cascade(trs, check.position, None, check.tol))
+            verdict = detect_vertex_cascade(trs, check.position, None, check.tol)
         else:
-            verdicts.append(
-                detect_vertex_fwm(trs[0], check.chi3, check.pumps, check.tol, check.window)
+            verdict = detect_vertex_fwm(trs[0], check.chi3, check.pumps, check.tol, check.window)
+        if verdict.is_vertex:  # the report lists accepted verdicts only
+            vertex_hits.append(
+                VertexHit(
+                    position=verdict.position,
+                    criterion=verdict.criterion,
+                    residual=verdict.residual,
+                    ray_ids=check.ray_ids,
+                    degenerate=verdict.degenerate,
+                )
             )
     return DetectionReport(
         interface_hits=interface_hits,
-        vertex_hits=verdicts_to_hits(verdicts),
+        vertex_hits=vertex_hits,
         params_used={
             "tol": scenario.tol,
             "noise_sigma": scenario.noise_sigma,

@@ -172,6 +172,50 @@ def test_non_integer_id_exit_2(old, new, bad, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def simulate_edited_readme_config(old, new, tmp_path, capsys):
+    """Run simulate on the README config with one edit; return (code, stderr)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert text.count(old) == 1
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text(text.replace(old, new))
+    code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("n=1.5", "n=1.5 n=3.0", "medium.1: repeated token n="),
+    ("ray.0 = origin=0.0005", "ray.0 = origin=0.0005 origin=0.5", "ray.0: repeated token origin="),
+    ("rays=0,1", "ray=0 rays=0,1", "check.0: give only one of ray= or rays="),
+    ("| 2 3", "| 2 0_3", "expected an integer, got '0_3'"),
+    ("medium.1 = n=1.5", "medium.01 = n=3.0\nmedium.1 = n=1.5", "bad index in key 'medium.01'"),
+])
+def test_silently_dropped_input_exit_2(old, new, message, tmp_path, capsys):
+    code, err = simulate_edited_readme_config(old, new, tmp_path, capsys)
+    assert code == 2
+    assert err.startswith("config error: line ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("old, new, token", [
+    ("length=0.999 grid_step=0.001\nray.1", "length=nan grid_step=0.001\nray.1", "ray.0 length"),
+    ("origin=0.0005 direction=1", "origin=0.0005 direction=inf", "ray.0 direction"),
+    ("origin=0.0005", "origin=nan", "ray.0 origin"),
+    ("length=0.999 grid_step=0.001\nray.1", "length=0.999 grid_step=nan\nray.1", "ray.0 grid_step"),
+    ("n=1.5", "n=nan", "medium.1 n"),
+    ("n=1.5", "n=inf", "medium.1 n"),
+    ("noise_sigma = 0.01", "noise_sigma = -inf", "noise_sigma"),
+    ("1.0,2.0\n", "1.0,NaN\n", "candidates"),
+])
+def test_non_finite_number_exit_2(old, new, token, tmp_path, capsys):
+    code, err = simulate_edited_readme_config(old, new, tmp_path, capsys)
+    assert code == 2
+    assert err.startswith("config error: line ")
+    assert f"{token}: " in err and "expected a finite number" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_missing_config_exit_2(tmp_path, capsys):
     code = cli.main(
         ["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x.csv")]

@@ -33,7 +33,6 @@ from polywave.detect import (
     detect_vertex_coupled_mode,
     detect_vertex_fwm,
     synthesize_ray_trace,
-    verdicts_to_hits,
     _levenberg_marquardt,
     zero_delay_cascade,
     _march,
@@ -41,6 +40,7 @@ from polywave.detect import (
 from polywave.fresnel import EmMedium
 from polywave.fwm import GainModel, degenerate_gain
 from polywave.geometry import GeometryError, build_complex
+from polywave.scenario import Scenario, VertexCheck, run_detect
 
 ROD_MEDIA = {0: EmMedium(1.0), 1: EmMedium(1.5), 2: EmMedium(2.0)}
 ROD_RAY = Ray(origin=(0.0005,), direction=(1.0,), length=0.999, grid_step=0.001)
@@ -718,14 +718,17 @@ def test_fwm_wave_kind_enforced():
         detect_vertex_fwm(tr, 0.0, (1, 1, 1), tol=1e-6)
 
 
-def test_verdicts_to_hits_keeps_accepted_only():
+def test_run_detect_reports_accepted_vertices_only():
     z = np.linspace(0.0, 2.0, 41)
     m = GainModel(e_s0=0.2 + 0j, g_s=0.4)
-    good = detect_vertex_fwm(
-        em_trace(z, [degenerate_gain(m, zz) for zz in z]), 0.0, (1, 1, 1), tol=1e-6
+    bad = em_trace(z, 1.0 + z, ray_id=0)
+    good = em_trace(z, [degenerate_gain(m, zz) for zz in z], ray_id=1)
+    scenario = Scenario(
+        complex=rod_complex(), wave_kind="em", media=ROD_MEDIA, rays=[bad.ray, good.ray],
+        vertex_checks=[VertexCheck("fwm", (0,), tol=1e-6), VertexCheck("fwm", (1,), tol=1e-6)],
     )
-    bad = detect_vertex_fwm(em_trace(z, 1.0 + z), 0.0, (1, 1, 1), tol=1e-6)
-    hits = verdicts_to_hits([good, bad])
+    hits = run_detect(scenario, [bad, good]).vertex_hits
     assert len(hits) == 1
     assert hits[0].criterion == "fwm"
-    assert hits[0].residual == good.residual
+    assert hits[0].residual == detect_vertex_fwm(good, 0.0, (1, 1, 1), tol=1e-6).residual
+    assert hits[0].ray_ids == (1,)

@@ -1,5 +1,6 @@
 """Scenario config parsing and trace/report file round trips."""
 
+import json
 import math
 import re
 import tempfile
@@ -21,7 +22,10 @@ from polywave.detect import (
 from polywave.fresnel import EmMedium
 from polywave.geometry import GeometryError
 from polywave.scenario import (
+    SECTIONS,
     ConfigParseError,
+    _integer,
+    _integers,
     load_scenario_text,
     parse_blocks,
     run_detect,
@@ -307,6 +311,134 @@ def test_empty_rays_block_allowed():
     sc = load_scenario_text(text)
     assert sc.rays == []
     assert run_simulate(sc) == []
+
+
+# ---------------------------------------------------------------------------
+# the parser's token table, walked entry kind by entry kind
+
+def token_tables() -> dict:
+    """{entry kind: token table} for every `key.i` entry the parser accepts."""
+    tables = {}
+    for section, (_, keys) in SECTIONS.items():
+        for key, value in keys.items():
+            if key.endswith(".i") and section == "media":
+                tables.update({kind: tokens for kind, (_, tokens) in value.items()})
+            elif key.endswith(".i"):
+                tables[key[:-2]] = value
+    return tables
+
+
+# entry kind -> (config with the entry as '{}', the loaded object, and
+# token -> (value as written, value as loaded))
+ENTRY_KINDS = {
+    "em": (ROD_CONFIG.replace("medium.1 = n=1.5", "medium.1 = {}"), lambda sc: sc.media[1],
+           {"n": ("1.5", 1.5)}),
+    "acoustic": (
+        ACOUSTIC_CONFIG.replace("medium.1 = z=4.0 c=2.0 rho=2.0", "medium.1 = {}"),
+        lambda sc: sc.media[1],
+        {"z": ("4.0", 4.0), "c": ("2.0", 2.0), "rho": ("2.0", 2.0)},
+    ),
+    "ray": (
+        ROD_CONFIG.replace("ray.0 = origin=0.0005 direction=1 length=0.998 grid_step=0.001",
+                           "ray.0 = {}"),
+        lambda sc: sc.rays[0],
+        {"origin": ("0.25", (0.25,)), "direction": ("-2", (-1.0,)), "length": ("0.2", 0.2),
+         "grid_step": ("0.01", 0.01)},
+    ),
+    "check": (
+        ROD_CONFIG + "\n[vertices]\ncheck.0 = {}\n",
+        lambda sc: sc.vertex_checks[0],
+        {"criterion": ("fwm", "fwm"), "ray": ("0", (0,)), "rays": ("+0", (0,)),
+         "tol": ("1e-3", 1e-3), "window": ("0.5", 0.5), "position": ("0.5", (0.5,)),
+         "kappa_min": ("1e-5", 1e-5), "chi3": ("1e-22", 1e-22),
+         "pumps": ("1,2,3", (1.0, 2.0, 3.0))},
+    ),
+}
+TOKENS = [(kind, token) for kind, table in token_tables().items() for token in table]
+
+
+def render(kind: str, including: str, leaving_out: str | None = None) -> tuple[str, dict]:
+    """A config whose `kind` entry gives one token per field of its table,
+    preferring `including` among alternatives and skipping `leaving_out`'s
+    field; and the tokens it gave."""
+    table, (config, _, samples) = token_tables()[kind], ENTRY_KINDS[kind]
+    skipped = table[leaving_out][0] if leaving_out else None
+    chosen = {}  # field -> token
+    for token, (field, _, _) in table.items():
+        if field != skipped and (token == including or field not in chosen):
+            chosen[field] = token
+    tokens = {token: samples[token] for token in chosen.values()}
+    return config.replace("{}", " ".join(f"{t}={text}" for t, (text, _) in tokens.items())), tokens
+
+
+def test_entry_samples_cover_the_table():
+    assert {kind: set(table) for kind, table in token_tables().items()} == {
+        kind: set(samples) for kind, (_, _, samples) in ENTRY_KINDS.items()
+    }
+
+
+@pytest.mark.parametrize("kind, token", TOKENS)
+def test_rendered_entry_loads_to_its_fields(kind, token):
+    text, tokens = render(kind, including=token)
+    loaded = ENTRY_KINDS[kind][1](load_scenario_text(text))
+    table = token_tables()[kind]
+    assert {table[t][0]: getattr(loaded, table[t][0]) for t in tokens} == {
+        table[t][0]: value for t, (_, value) in tokens.items()
+    }
+
+
+@pytest.mark.parametrize("kind, token", TOKENS)
+def test_token_given_twice_is_an_error(kind, token):
+    text, tokens = render(kind, including=token)
+    text = text.replace(f"{token}=", f"{token}={tokens[token][0]} {token}=", 1)
+    assert f"repeated token {token}=" in parse_error(text).message
+
+
+@pytest.mark.parametrize("kind, token", [(k, t) for k, t in TOKENS if token_tables()[k][t][2]])
+def test_required_token_left_out_is_an_error_naming_it(kind, token):
+    text, _ = render(kind, including=token, leaving_out=token)
+    err = parse_error(text)
+    assert "missing " in err.message and f"{token}=" in err.message.partition("(")[0]
+
+
+@pytest.mark.parametrize("field", ["origin", "direction", "length", "grid_step"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_ray_rejects_non_finite_fields(field, bad):
+    good = {"origin": (0.5,), "direction": (1.0,), "length": 0.2, "grid_step": 0.01}
+    value = (bad,) if isinstance(good[field], tuple) else bad
+    with pytest.raises(ValueError, match="must be finite"):
+        Ray(**{**good, field: value})
+
+
+@pytest.mark.parametrize("field", ["origin", "length", "grid_step"])
+def test_sidecar_with_non_finite_ray_geometry_is_schema_mismatch(field, tmp_path):
+    traces, _ = rod_traces()
+    path = tmp_path / "traces.csv"
+    write_traces(path, traces)
+    meta = json.loads(sidecar_path(path).read_text())
+    meta["rays"]["0"][field] = [math.nan] if field == "origin" else math.nan
+    sidecar_path(path).write_text(json.dumps(meta))
+    with pytest.raises(SchemaMismatch, match="garbled sidecar geometry of ray 0"):
+        read_traces(path)
+
+
+id_text = st.text(alphabet="0123456789+-_ ,.é٣x", max_size=12)
+
+
+@given(text=id_text)
+def test_id_list_check_agrees_with_per_id_check(text):
+    """The one-regex check of a whole id list accepts exactly the lists whose
+    every id is an optional sign and ASCII digits."""
+    try:
+        expected = tuple(_integer(item) for item in text.split(","))
+    except ValueError:
+        expected = None
+    try:
+        got = _integers(",")(text)
+    except ValueError:
+        got = None
+    assert got == expected
+    assert expected is None or all(re.fullmatch(r"[+-]?[0-9]+", t) for t in text.split(","))
 
 
 def test_run_simulate_and_detect_roundtrip():
