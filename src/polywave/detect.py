@@ -9,9 +9,11 @@ carry field amplitudes stepped by the Fresnel t at each interface, with an
 r-scaled reflected sample recorded on the incident side; acoustic traces
 carry intensities stepped by T_I with an R_I sample recorded likewise.
 Detection inverts this: interface detectors match measured sample ratios
-against candidate media pairs; vertex detectors test windowed traces
-against the two-mode coupling ODEs, a fitted coupler cascade, or
-exponential gain.
+against the same step coefficients of candidate media pairs.  Vertex
+detectors test trace tails (the last `window` of each trace, or all of it
+when the window is None) against the two-mode coupling ODEs or exponential
+gain, and trace endpoints against a coupler cascade whose angles are fitted
+in closed form between given delay stages (zero-length when None).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from . import acoustic as _ac
 from . import coupled_mode as _cm
 from . import fresnel as _fr
+from .fwm import fit_gain
 # classify_facets is no longer called here; it stays a module attribute
 # because the benchmark's tracer wraps it by this name.
 from .geometry import GeometryError, SimplicialComplex, classify_facets  # noqa: F401
@@ -234,6 +237,7 @@ def synthesize_ray_trace(
     if not is_em and not all(isinstance(m, _ac.AcousticMedium) for m in media.values()):
         raise ValueError("media must be EmMedium or AcousticMedium records")
 
+    wave_kind = "em" if is_em else "acoustic"
     crossings, segment_simplices = _march(c, ray)
     seg_media = [c.media[s] for s in segment_simplices]
     for mid in seg_media:
@@ -245,19 +249,14 @@ def synthesize_ray_trace(
     # depend only on the index (EM) or impedance (acoustic) on either side
     if is_em:
         values = [media[mid].refractive_index for mid in seg_media]
-
-        def coefficients(n1: float, n2: float):
-            coeff = _fr.amplitude_coefficients_normal(n1, n2)
-            return coeff.t, coeff.r
     else:
         values = [media[mid].impedance for mid in seg_media]
-        coefficients = _ac.intensity_coefficients
     coeffs = {}
     seg_value = [1.0 + 0j]
     refl_at_crossing = []
     for pair in zip(values, values[1:]):
         if pair not in coeffs:
-            coeffs[pair] = coefficients(*pair)
+            coeffs[pair] = _step_coefficients(wave_kind, *pair)
         t_c, r_c = coeffs[pair]
         cur = seg_value[-1]
         refl_at_crossing.append(r_c * cur)
@@ -287,7 +286,7 @@ def synthesize_ray_trace(
         incident=incident,
         reflected=reflected,
         medium_ids=medium_ids,
-        wave_kind="em" if is_em else "acoustic",
+        wave_kind=wave_kind,
         ray_id=ray_id,
     )
 
@@ -295,14 +294,39 @@ def synthesize_ray_trace(
 # ---------------------------------------------------------------------------
 # interface detection
 
-def _scan_ratio_hits(trace: FieldTrace, coeff_table, tol: float, tol_floor: float):
-    """Match adjacent-sample ratios against expected (t, r) per candidate.
+def _step_coefficients(wave_kind: str, before: float, after: float, paper_exact: bool = False):
+    """(t, r) of one step from medium value `before` to `after`: the Fresnel
+    amplitude pair between refractive indices for EM, the intensity pair
+    (T_I, R_I) between impedances for acoustic (paper_exact picks the
+    as-published transmittance)."""
+    if wave_kind == "em":
+        coeff = _fr.amplitude_coefficients_normal(before, after)
+        return coeff.t, coeff.r
+    return _ac.intensity_coefficients(before, after, paper_exact=paper_exact)
+
+
+def _require_kind(trace: FieldTrace, wave_kind: str) -> None:
+    if trace.wave_kind != wave_kind:
+        name = {"em": "an EM", "acoustic": "an acoustic"}[wave_kind]
+        raise WrongWaveKind(f"expected {name} trace, got {trace.wave_kind!r}")
+
+
+def _detect_interfaces(
+    trace: FieldTrace, wave_kind: str, candidates, tol: float, paper_exact: bool = False
+) -> list[InterfaceHit]:
+    """Match adjacent-sample ratios against the step coefficients (t, r) of
+    each candidate pair of media values.
 
     A sample i is flagged when, for some candidate, both
-    |t_hat - t| <= tol*|t| and |r_hat - r| <= tol*max(|r|, tol_floor); the
+    |t_hat - t| <= tol*|t| and |r_hat - r| <= tol*max(|r|, tol); the
     recorded residual is the larger normalized deviation.  Runs of
     consecutive flagged samples merge into one hit at the first flagged z.
     """
+    _require_kind(trace, wave_kind)
+    coeff_table = [
+        ((float(a), float(b)), *_step_coefficients(wave_kind, a, b, paper_exact))
+        for a, b in sorted(candidates)
+    ]
     z, inc, refl = trace.z, trace.incident, trace.reflected
     n = len(z) - 1
     if n < 1:
@@ -315,7 +339,7 @@ def _scan_ratio_hits(trace: FieldTrace, coeff_table, tol: float, tol_floor: floa
     best_pair = np.full(n, -1, dtype=int)
     for p_idx, (_, t_exp, r_exp) in enumerate(coeff_table):
         rel_t = np.abs(t_hat - t_exp) / abs(t_exp)
-        rel_r = np.abs(r_hat - r_exp) / max(abs(r_exp), tol_floor)
+        rel_r = np.abs(r_hat - r_exp) / max(abs(r_exp), tol)
         res = np.maximum(rel_t, rel_r)
         res[~valid] = np.inf
         better = (res <= tol) & (res < best_res)
@@ -344,46 +368,30 @@ def _scan_ratio_hits(trace: FieldTrace, coeff_table, tol: float, tol_floor: floa
     ]
 
 
-def detect_interfaces_em(
-    trace: FieldTrace, candidates, tol: float, tol_floor: float | None = None
-) -> list[InterfaceHit]:
+def detect_interfaces_em(trace: FieldTrace, candidates, tol: float) -> list[InterfaceHit]:
     """Flag sample positions whose amplitude ratios match a candidate
     refractive-index pair (n1, n2) within tol.  Candidates are tried in
     ascending order, so ties report the lexicographically smallest pair."""
-    if trace.wave_kind != "em":
-        raise WrongWaveKind(f"expected an EM trace, got {trace.wave_kind!r}")
-    floor = tol if tol_floor is None else tol_floor
-    table = []
-    for n1, n2 in sorted(candidates):
-        coeff = _fr.amplitude_coefficients_normal(n1, n2)
-        table.append(((float(n1), float(n2)), coeff.t, coeff.r))
-    return _scan_ratio_hits(trace, table, tol, floor)
+    return _detect_interfaces(trace, "em", candidates, tol)
 
 
 def detect_interfaces_acoustic(
-    trace: FieldTrace,
-    candidates,
-    tol: float,
-    tol_floor: float | None = None,
-    paper_exact: bool = False,
+    trace: FieldTrace, candidates, tol: float, paper_exact: bool = False
 ) -> list[InterfaceHit]:
     """Acoustic analog of detect_interfaces_em over impedance pairs
     (Z1, Z2), matching intensity ratios against the energy-conserving
     coefficients (or the as-published variant when paper_exact)."""
-    if trace.wave_kind != "acoustic":
-        raise WrongWaveKind(f"expected an acoustic trace, got {trace.wave_kind!r}")
-    floor = tol if tol_floor is None else tol_floor
-    table = []
-    for z1, z2 in sorted(candidates):
-        t_i, r_i = _ac.intensity_coefficients(z1, z2, paper_exact=paper_exact)
-        table.append(((float(z1), float(z2)), t_i, r_i))
-    return _scan_ratio_hits(trace, table, tol, floor)
+    return _detect_interfaces(trace, "acoustic", candidates, tol, paper_exact)
 
 
 # ---------------------------------------------------------------------------
 # vertex detection: coupled-mode fit
 
-def _window_tail(trace: FieldTrace, window: float):
+def _window_tail(trace: FieldTrace, window: float | None):
+    """(z, incident) of the samples in the last `window` of the trace; all
+    of them when window is None."""
+    if window is None:
+        return trace.z, trace.incident
     mask = trace.z >= trace.z[-1] - window
     return trace.z[mask], trace.incident[mask]
 
@@ -458,15 +466,15 @@ def _phase_rate(x: np.ndarray, h: float) -> float:
 def detect_vertex_coupled_mode(
     trace_a: FieldTrace,
     trace_b: FieldTrace,
-    corner_window: float,
+    corner_window: float | None,
     tol: float,
     kappa_min: float = 1e-6,
 ) -> VertexVerdict:
     """Test two interface traces for two-mode coupling near their corner.
 
-    The last `corner_window` of each trace (>= 8 samples, shared uniform z
-    grid) is fit to the coupling ODEs over real (beta1, beta2, kappa12,
-    kappa21).  Traces are normalized by their joint initial magnitude
+    The last `corner_window` of each trace (all of it when None; >= 8
+    samples, shared uniform z grid) is fit to the coupling ODEs over real
+    (beta1, beta2, kappa12, kappa21).  Traces are normalized by their joint initial magnitude
     first, so the verdict only sees ratios.  The model steps each sample
     to the next with one RK4 step matrix; the residual is the rms complex
     deviation of the predicted samples.  The fit starts from the closed
@@ -536,16 +544,6 @@ def detect_vertex_coupled_mode(
 # ---------------------------------------------------------------------------
 # vertex detection: coupler cascade
 
-def zero_delay_cascade(thetas) -> _cm.CascadeSpec:
-    """Default spec builder: unit-length couplers, zero-delay sections."""
-    stages = []
-    for j, th in enumerate(thetas):
-        if j:
-            stages.append(_cm.DelayStage(0.0, 0.0, 0.0))
-        stages.append(_cm.CouplerStage(kappa=float(th), length=1.0))
-    return _cm.CascadeSpec(tuple(stages))
-
-
 def _fit_coupler_angle(u: np.ndarray, v: np.ndarray) -> float:
     """argmin_theta || T_c(theta) u - v ||, in closed form."""
     p = (np.conj(v[0]) * u[0] + np.conj(v[1]) * u[1]).real
@@ -553,33 +551,24 @@ def _fit_coupler_angle(u: np.ndarray, v: np.ndarray) -> float:
     return float(math.atan2(q, p))
 
 
-def _split_cascade(spec: _cm.CascadeSpec):
-    """(couplers, delay matrices between them), validating alternation."""
-    _cm.cascade_transfer(spec)  # validates the stage pattern
-    couplers = [s for s in spec.stages if isinstance(s, _cm.CouplerStage)]
-    delays = [
-        _cm.delay_matrix(s.beta, s.length1, s.length2)
-        for s in spec.stages
-        if isinstance(s, _cm.DelayStage)
-    ]
-    return couplers, delays
+def _relative_error(predicted: np.ndarray, target: np.ndarray) -> float:
+    return float(np.linalg.norm(predicted - target)) / max(float(np.linalg.norm(target)), 1e-30)
 
 
 def detect_vertex_cascade(
-    traces,
-    vertex_candidate=None,
-    spec_builder=None,
-    tol: float = 1e-6,
+    traces, vertex_candidate=None, delays=None, tol: float = 1e-6
 ) -> VertexVerdict:
     """Test m interface traces meeting at a candidate corner against an
     (m-1)-stage coupler cascade.
 
-    Each trace contributes its endpoint pair s_j = (first, last windowed
-    amplitude), read as the 2-channel state at chain position j; stage j
-    is a coupler angle fitted in closed form so that
-    T_c(theta_j) . (delays from spec_builder) maps s_j to s_{j+1}.  The
-    verdict takes the worst of the m-1 per-stage relative prediction
-    errors and the composite transfer error, all scale-invariant.
+    Each trace contributes its endpoint pair s_j = (incident[0],
+    incident[-1]), read as the 2-channel state at chain position j.
+    `delays` lists the m-2 DelayStages between the couplers (zero-length
+    stages when None).  Stage j is a unit-length coupler whose angle is
+    fitted in closed form so that T_c(theta_j) . D_j maps s_j to s_{j+1},
+    with D_j the delay before it (none before the first).  The verdict
+    takes the worst of the m-1 per-stage relative prediction errors and the
+    composite transfer error of the whole cascade, all scale-invariant.
     """
     traces = list(traces)
     m = len(traces)
@@ -588,8 +577,10 @@ def detect_vertex_cascade(
     for tr in traces:
         if tr.n_samples < 2:
             raise ValueError("each trace needs at least 2 samples")
-    if spec_builder is None:
-        spec_builder = zero_delay_cascade
+    delays = [_cm.DelayStage(0.0, 0.0, 0.0)] * (m - 2) if delays is None else list(delays)
+    if len(delays) != m - 2:
+        raise _cm.MalformedSpec(f"{m} traces need {m - 2} delay stages, got {len(delays)}")
+    delay_mats = [_cm.delay_matrix(d.beta, d.length1, d.length2) for d in delays]
 
     states = [np.array([tr.incident[0], tr.incident[-1]], dtype=complex) for tr in traces]
     scale = float(np.linalg.norm(states[0]))
@@ -598,43 +589,19 @@ def detect_vertex_cascade(
         return VertexVerdict(False, "cascade", math.inf, vertex_candidate, {}, True)
     states = [s / scale for s in states]
 
-    # pass 1 with identity delays, pass 2 with the builder's delays
-    identity = np.eye(2, dtype=complex)
-    delays = [identity] * (m - 2)
-    thetas: list[float] = []
-    for attempt in range(2):
-        thetas = []
-        for j in range(m - 1):
-            u = states[j] if j == 0 else delays[j - 1] @ states[j]
-            thetas.append(_fit_coupler_angle(u, states[j + 1]))
-        spec = spec_builder(thetas)
-        couplers, delay_mats = _split_cascade(spec)
-        if len(couplers) != m - 1:
-            raise _cm.MalformedSpec(
-                f"spec builder returned {len(couplers)} couplers for {m} traces"
-            )
-        if attempt == 0 and all(np.allclose(d, identity) for d in delay_mats):
-            break
-        delays = delay_mats
-
-    transitions = []
+    thetas, errors, stages = [], [], []
     for j in range(m - 1):
-        mat = _cm.coupler_matrix(couplers[j].kappa, couplers[j].length)
-        if j > 0:
-            mat = mat @ delays[j - 1]
-        transitions.append(mat)
-
-    errors = []
-    for j in range(m - 1):
-        pred = transitions[j] @ states[j]
-        errors.append(
-            float(np.linalg.norm(pred - states[j + 1]))
-            / max(float(np.linalg.norm(states[j + 1])), 1e-30)
-        )
-    total = _cm.cascade_transfer(spec)
-    composite = float(np.linalg.norm(total @ states[0] - states[-1])) / max(
-        float(np.linalg.norm(states[-1])), 1e-30
-    )
+        s, target = states[j], states[j + 1]
+        theta = _fit_coupler_angle(delay_mats[j - 1] @ s if j else s, target)
+        transition = _cm.coupler_matrix(theta, 1.0)
+        if j:
+            transition = transition @ delay_mats[j - 1]
+            stages.append(delays[j - 1])
+        thetas.append(theta)
+        stages.append(_cm.CouplerStage(kappa=theta, length=1.0))
+        errors.append(_relative_error(transition @ s, target))
+    total = _cm.cascade_transfer(_cm.CascadeSpec(tuple(stages)))
+    composite = _relative_error(total @ states[0], states[-1])
     residual = max(errors + [composite])
     return VertexVerdict(
         is_vertex=bool(residual <= tol),
@@ -642,7 +609,7 @@ def detect_vertex_cascade(
         residual=residual,
         position=vertex_candidate,
         params={
-            "thetas": [c.kappa * c.length for c in couplers],
+            "thetas": thetas,
             "stage_errors": errors,
             "composite_error": composite,
             "ray_ids": ray_ids,
@@ -663,20 +630,15 @@ def detect_vertex_fwm(
 ) -> VertexVerdict:
     """Test an EM trace for exponential |E_s| growth along the geodesic.
 
-    chi3 and the pump amplitudes are recorded in the verdict for
-    traceability; the criterion itself is a log-linear least-squares fit
-    (the gain is a fit parameter, never derived from chi3).  A fit whose
-    amplitude change over the window is below float noise
-    (|g_s|*span < 1e-9) is flagged degenerate.
+    The last `window` of the trace (all of it when None) is fit.  chi3 and
+    the pump amplitudes are recorded in the verdict for traceability; the
+    criterion itself is a log-linear least-squares fit (the gain is a fit
+    parameter, never derived from chi3).  A fit whose amplitude change over
+    the window is below float noise (|g_s|*span < 1e-9) is flagged
+    degenerate.
     """
-    from .fwm import fit_gain
-
-    if trace.wave_kind != "em":
-        raise WrongWaveKind(f"expected an EM trace, got {trace.wave_kind!r}")
-    if window is None:
-        z, inc = trace.z, trace.incident
-    else:
-        z, inc = _window_tail(trace, window)
+    _require_kind(trace, "em")
+    z, inc = _window_tail(trace, window)
     fit = fit_gain(list(zip(z, np.abs(inc))))
     span = float(z[-1] - z[0])
     degenerate = abs(fit.model.g_s) * span < 1e-9

@@ -151,6 +151,23 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _bounded(convert, holds, wanted: str):
+    """convert, then a ValueError unless holds(value): for values that no
+    class checks when it is built."""
+
+    def check(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise ValueError(f"expected {wanted}, got {text!r}")
+        return value
+
+    return check
+
+
+_positive = _bounded(_number, lambda value: value > 0, "a number > 0")
+_nonnegative = _bounded(_number, lambda value: value >= 0, "a number >= 0")
+
+
 def _flag(text: str) -> bool:
     if text.lower() in ("true", "1", "yes"):
         return True
@@ -243,9 +260,9 @@ SECTIONS = {  # section -> (required, {key: converter, or `key.i`: its token tab
         "grid_step": ("grid_step", _number, True),
     }}),
     "detection": (False, {
-        "tol": _number,
-        "noise_sigma": _number,
-        "seed": _integer,
+        "tol": _positive,
+        "noise_sigma": _nonnegative,
+        "seed": _bounded(_integer, lambda value: value >= 0, "an integer >= 0"),
         "paper_exact": _flag,
         "candidates": _list(_pair),
     }),
@@ -253,10 +270,10 @@ SECTIONS = {  # section -> (required, {key: converter, or `key.i`: its token tab
         "criterion": ("criterion", _one_of(RAYS_PER_CRITERION, "criterion"), True),
         "ray": ("ray_ids", lambda text: (_integer(text),), True),
         "rays": ("ray_ids", _integers(","), True),
-        "tol": ("tol", _number, False),
-        "window": ("window", _number, False),
+        "tol": ("tol", _positive, False),
+        "window": ("window", _positive, False),
         "position": ("position", _vector, False),
-        "kappa_min": ("kappa_min", _number, False),
+        "kappa_min": ("kappa_min", _nonnegative, False),
         "chi3": ("chi3", _number, False),
         "pumps": ("pumps", _vector, False),
     }}),
@@ -340,6 +357,15 @@ def _tokens(entry, what: str, table: dict) -> dict:
     return fields
 
 
+def _build(cls, fields: dict, entry, what: str):
+    """cls(**fields), with the ValueError of a check in cls reported as a
+    ConfigParseError at the entry."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        _fail(entry, f"{what}: {exc}")
+
+
 def load_scenario_text(text: str) -> Scenario:
     sections = parse_blocks(text)
     for name, section in sections.items():
@@ -349,7 +375,7 @@ def load_scenario_text(text: str) -> Scenario:
     media_keys, medium_entries, kinds = _section(sections, "media")
     medium_class, medium_tokens = kinds[media_keys["wave_kind"]]
     media = {
-        i: medium_class(**_tokens(entry, key, medium_tokens))
+        i: _build(medium_class, _tokens(entry, key, medium_tokens), entry, key)
         for i, (key, entry) in enumerate(medium_entries)
     }
     if len(media) != len(geometry["simplices"]):
@@ -368,7 +394,8 @@ def load_scenario_text(text: str) -> Scenario:
         norm = math.sqrt(sum(d * d for d in direction))
         if norm == 0.0:
             _fail(entry, f"{key}: zero direction vector")
-        rays.append(Ray(**{**fields, "direction": tuple(d / norm for d in direction)}))
+        fields["direction"] = tuple(d / norm for d in direction)
+        rays.append(_build(Ray, fields, entry, key))
 
     detection, _, _ = _section(sections, "detection")
     scenario = Scenario(complex=cpx, media=media, rays=rays, **media_keys, **detection)
@@ -426,10 +453,9 @@ def run_detect(scenario: Scenario, traces) -> DetectionReport:
             raise SchemaMismatch(f"vertex check names ray(s) {missing} absent from the traces")
         trs = [by_id[r] for r in check.ray_ids]
         if check.criterion == "coupled_mode":
-            window = check.window
-            if window is None:
-                window = float(trs[0].z[-1] - trs[0].z[0]) + trs[0].ray.grid_step
-            verdict = detect_vertex_coupled_mode(trs[0], trs[1], window, check.tol, check.kappa_min)
+            verdict = detect_vertex_coupled_mode(
+                trs[0], trs[1], check.window, check.tol, check.kappa_min
+            )
         elif check.criterion == "cascade":
             verdict = detect_vertex_cascade(trs, check.position, None, check.tol)
         else:

@@ -221,7 +221,7 @@ def _split_position(text: str):
     return tuple(float(x) for x in text.split(";"))
 
 
-def write_report(path, report: DetectionReport, extra_meta: dict | None = None) -> None:
+def write_report(path, report: DetectionReport) -> None:
     """Write a detection report plus its sidecar (tolerances, seed, and
     variant flags ride in report.params_used)."""
     with open(path, "w", newline="") as fh:
@@ -265,7 +265,6 @@ def write_report(path, report: DetectionReport, extra_meta: dict | None = None) 
             "vertex_hits": len(report.vertex_hits),
         },
     }
-    meta.update(extra_meta or {})
     _write_sidecar(path, meta)
 
 

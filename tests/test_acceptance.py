@@ -30,7 +30,6 @@ from polywave.detect import (
     detect_vertex_coupled_mode,
     detect_vertex_fwm,
     synthesize_ray_trace,
-    zero_delay_cascade,
 )
 from polywave.fresnel import EmMedium, amplitude_coefficients_normal
 from polywave.fwm import (
@@ -137,7 +136,11 @@ def test_acceptance_4_cascade_unitarity():
         worst = max(worst, err)
         assert err < 1e-12
 
-    crossover = cascade_transfer(zero_delay_cascade([math.pi / 4, math.pi / 4]))
+    crossover = cascade_transfer(CascadeSpec((
+        CouplerStage(kappa=math.pi / 4, length=1.0),
+        DelayStage(0.0, 0.0, 0.0),
+        CouplerStage(kappa=math.pi / 4, length=1.0),
+    )))
     out = crossover @ np.array([1.0, 0.0], dtype=complex)
     assert abs(out[0]) ** 2 < 1e-12
     assert abs(abs(out[1]) ** 2 - 1.0) < 1e-12

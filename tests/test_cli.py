@@ -216,6 +216,28 @@ def test_non_finite_number_exit_2(old, new, token, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("seed = 99", "seed = -5", "seed: expected an integer >= 0, got '-5'"),
+    ("tol = 1e-6", "tol = -1", "tol: expected a number > 0, got '-1'"),
+    ("noise_sigma = 0.01", "noise_sigma = -0.5", "noise_sigma: expected a number >= 0, got '-0.5'"),
+    ("rays=0,1 tol=1e-6", "rays=0,1 tol=-1", "check.0 tol: expected a number > 0, got '-1'"),
+    ("rays=0,1 tol=1e-6", "rays=0,1 tol=1e-6 window=-1", "check.0 window: expected a number > 0"),
+    ("rays=0,1 tol=1e-6", "rays=0,1 tol=1e-6 kappa_min=-1", "check.0 kappa_min: expected a number >= 0"),
+    ("n=1.5", "n=-1.5", "medium.1: refractive index must be > 0, got -1.5"),
+    ("length=0.999 grid_step=0.001\nray.1", "length=0.999 grid_step=-0.001\nray.1",
+     "ray.0: grid_step must be > 0, got -0.001"),
+])
+def test_out_of_range_value_exit_2(old, new, message, tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    line = text[:text.index(old)].count("\n") + 1
+    code, err = simulate_edited_readme_config(old, new, tmp_path, capsys)
+    assert code == 2
+    assert err.startswith(f"config error: line {line}, col ")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_simulate_missing_config_exit_2(tmp_path, capsys):
     code = cli.main(
         ["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x.csv")]

@@ -1,5 +1,6 @@
 """Trace synthesis along rays and interface/vertex detection."""
 
+import json
 import math
 
 import numpy as np
@@ -34,13 +35,13 @@ from polywave.detect import (
     detect_vertex_fwm,
     synthesize_ray_trace,
     _levenberg_marquardt,
-    zero_delay_cascade,
     _march,
 )
 from polywave.fresnel import EmMedium
 from polywave.fwm import GainModel, degenerate_gain
 from polywave.geometry import GeometryError, build_complex
 from polywave.scenario import Scenario, VertexCheck, run_detect
+from polywave.traceio import sidecar_path, write_report
 
 ROD_MEDIA = {0: EmMedium(1.0), 1: EmMedium(1.5), 2: EmMedium(2.0)}
 ROD_RAY = Ray(origin=(0.0005,), direction=(1.0,), length=0.999, grid_step=0.001)
@@ -463,6 +464,16 @@ def test_coupled_fit_uses_window_tail():
     assert v.params["window_samples"] < ta.n_samples
 
 
+def test_coupled_fit_without_window_fits_the_whole_trace():
+    accepted = coupled_traces(CoupledModeParams(beta1=2.4, beta2=1.7, kappa12=0.5, kappa21=0.9))
+    for ta, tb in (accepted, random_walk_pair(3)):
+        full_span = float(ta.z[-1] - ta.z[0]) + ta.ray.grid_step
+        v = detect_vertex_coupled_mode(ta, tb, corner_window=None, tol=1e-6)
+        assert v == detect_vertex_coupled_mode(ta, tb, corner_window=full_span, tol=1e-6)
+        assert v.params["window_samples"] == ta.n_samples
+    assert detect_vertex_coupled_mode(*accepted, corner_window=None, tol=1e-6).is_vertex
+
+
 def test_coupled_fit_scale_invariant():
     p = CoupledModeParams(beta1=2.0, beta2=2.0, kappa12=0.7, kappa21=0.7)
     ta, tb = coupled_traces(p)
@@ -608,20 +619,38 @@ def test_cascade_three_traces_roundtrip():
 
 def test_cascade_with_known_delays():
     beta, l1, l2 = 1.3, 0.6, 0.2
-    delay = delay_matrix(beta, l1, l2)
-
-    def builder(thetas):
-        stages = []
-        for j, th in enumerate(thetas):
-            if j:
-                stages.append(DelayStage(beta, l1, l2))
-            stages.append(CouplerStage(kappa=float(th), length=1.0))
-        return CascadeSpec(tuple(stages))
-
-    traces = cascade_traces([0.7, 0.3], delays=[delay])
-    v = detect_vertex_cascade(traces, spec_builder=builder, tol=1e-6)
+    traces = cascade_traces([0.7, 0.3], delays=[delay_matrix(beta, l1, l2)])
+    v = detect_vertex_cascade(traces, delays=[DelayStage(beta, l1, l2)], tol=1e-6)
     assert v.is_vertex
     assert v.params["thetas"] == pytest.approx([0.7, 0.3], rel=1e-6)
+
+
+delay_stages = st.builds(
+    DelayStage,
+    beta=st.floats(min_value=0.0, max_value=5.0),
+    length1=st.floats(min_value=0.0, max_value=2.0),
+    length2=st.floats(min_value=0.0, max_value=2.0),
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    thetas=st.lists(
+        st.floats(min_value=0.0, max_value=math.pi / 2, exclude_min=True, exclude_max=True),
+        min_size=1, max_size=4,
+    ),
+    delays=st.lists(delay_stages, min_size=3, max_size=3),
+    phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    split=st.floats(min_value=0.1, max_value=0.9),
+)
+def test_cascade_recovers_angles_between_random_delays(thetas, delays, phase, split):
+    delays = delays[:len(thetas) - 1]
+    s0 = (math.sqrt(split), math.sqrt(1.0 - split) * complex(math.cos(phase), math.sin(phase)))
+    mats = [delay_matrix(d.beta, d.length1, d.length2) for d in delays]
+    traces = cascade_traces(thetas, s0=s0, delays=mats)
+    v = detect_vertex_cascade(traces, delays=delays, tol=1e-6)
+    assert v.is_vertex
+    assert v.params["thetas"] == pytest.approx(thetas, abs=1e-9)
 
 
 def test_cascade_rejects_unrelated_traces():
@@ -646,14 +675,13 @@ def test_cascade_input_validation():
         )
 
 
-def test_cascade_rejects_wrong_builder_arity():
+def test_cascade_rejects_wrong_delay_count():
     traces = cascade_traces([0.4, 1.1])
-    with pytest.raises(MalformedSpec):
-        detect_vertex_cascade(
-            traces,
-            spec_builder=lambda thetas: zero_delay_cascade(list(thetas) + [0.1]),
-            tol=1e-6,
-        )
+    for delays in ([], [DelayStage(0.0, 0.0, 0.0)] * 2):
+        with pytest.raises(MalformedSpec, match="3 traces need 1 delay stages"):
+            detect_vertex_cascade(traces, delays=delays, tol=1e-6)
+    with pytest.raises(MalformedSpec, match="2 traces need 0 delay stages, got 1"):
+        detect_vertex_cascade(traces[:2], delays=[DelayStage(0.0, 0.0, 0.0)], tol=1e-6)
 
 
 def test_zero_amplitude_cascade_degenerate():
@@ -732,3 +760,40 @@ def test_run_detect_reports_accepted_vertices_only():
     assert hits[0].criterion == "fwm"
     assert hits[0].residual == detect_vertex_fwm(good, 0.0, (1, 1, 1), tol=1e-6).residual
     assert hits[0].ray_ids == (1,)
+
+
+# The report of one accepted check per criterion, pinned byte for byte: the
+# residuals are written with 17 digits, so a detector that reorders a
+# product or a fit that moves changes these bytes.
+GOLDEN_VERTEX_REPORT = """\
+kind,ray,z,position,t_re,t_im,r_re,r_im,pair_a,pair_b,criterion,residual,degenerate
+vertex,0;1,,1.0000000000000002,,,,,,,coupled_mode,3.5487583742773351e-16,0
+vertex,2;3;4,,0.5,,,,,,,cascade,3.0404709722440588e-16,0
+vertex,5,,2,,,,,,,fwm,2.4885817484527262e-16,0
+"""
+
+
+def test_vertex_report_golden_bytes(tmp_path):
+    p = CoupledModeParams(beta1=2.4, beta2=1.7, kappa12=0.5, kappa21=0.9)
+    ta, tb = coupled_traces(p, b0=0.3 + 0j)
+    states = [np.array([0.6 + 0.3j, 0.2 - 0.5j])]
+    for th in (0.4, 1.1):
+        states.append(coupler_matrix(th, 1.0) @ states[-1])
+    chain = [em_trace([0.0, 1.0], s, ray_id=2 + j) for j, s in enumerate(states)]
+    z = np.linspace(0.0, 2.0, 41)
+    model = GainModel(e_s0=0.2 + 0j, g_s=0.4)
+    gain = em_trace(z, [degenerate_gain(model, zz) for zz in z], ray_id=5)
+    traces = [ta, tb, *chain, gain]
+    scenario = Scenario(
+        complex=rod_complex(), wave_kind="em", media=ROD_MEDIA, rays=[tr.ray for tr in traces],
+        vertex_checks=[
+            VertexCheck("coupled_mode", (0, 1), tol=1e-6),
+            VertexCheck("cascade", (2, 3, 4), tol=1e-6, position=(0.5,)),
+            VertexCheck("fwm", (5,), tol=1e-6),
+        ],
+    )
+    path = tmp_path / "report.csv"
+    write_report(path, run_detect(scenario, traces))
+    assert path.read_bytes() == GOLDEN_VERTEX_REPORT.encode()
+    meta = json.loads(sidecar_path(path).read_text())
+    assert meta["counts"] == {"interface_hits": 0, "vertex_hits": 3}
