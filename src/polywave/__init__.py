@@ -22,6 +22,7 @@ from .detect import (
     DetectionReport,
     FieldTrace,
     InterfaceHit,
+    InterfaceHits,
     Ray,
     VertexHit,
     VertexVerdict,

@@ -32,19 +32,34 @@ def _fmt_c(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}j"
 
 
+def _override(args, flag: str, key: str):
+    """The value of --flag read by the converter of the [detection] key it
+    overrides, or None when the flag is absent."""
+    text = getattr(args, flag, None)
+    if text is None:
+        return None
+    try:
+        return sc.SECTIONS["detection"][1][key](text)
+    except ValueError as exc:
+        raise sc.ConfigParseError(0, 0, f"--{flag}: {exc}") from None
+
+
 def _load_scenario(args) -> sc.Scenario:
     try:
         scenario = sc.load_scenario(args.config)
     except FileNotFoundError:
         raise sc.ConfigParseError(0, 0, f"config file not found: {args.config}")
-    if getattr(args, "seed", None) is not None:
-        scenario.seed = args.seed
-    if getattr(args, "noise", None) is not None:
-        scenario.noise_sigma = args.noise
-    if getattr(args, "tol", None) is not None:
-        scenario.tol = args.tol
+    seed = _override(args, "seed", "seed")
+    if seed is not None:
+        scenario.seed = seed
+    noise = _override(args, "noise", "noise_sigma")
+    if noise is not None:
+        scenario.noise_sigma = noise
+    tol = _override(args, "tol", "tol")
+    if tol is not None:
+        scenario.tol = tol
         for check in scenario.vertex_checks:
-            check.tol = args.tol
+            check.tol = tol
     if getattr(args, "paper_exact", False):
         scenario.paper_exact = True
     return scenario
@@ -170,15 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="synthesize ray traces from a scenario config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--noise", type=float, default=None, help="override config noise sigma")
+    p.add_argument("--seed", default=None, help="override config seed")
+    p.add_argument("--noise", default=None, help="override config noise sigma")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("detect", help="detect interfaces/vertices in trace files")
     p.add_argument("--config", required=True)
     p.add_argument("--traces", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--tol", type=float, default=None, help="override config tolerance")
+    p.add_argument("--tol", default=None, help="override config tolerance")
     p.add_argument("--paper-exact", action="store_true", dest="paper_exact",
                    help="match acoustic candidates with the as-published transmittance")
     p.set_defaults(func=cmd_detect)

@@ -9,17 +9,19 @@ carry field amplitudes stepped by the Fresnel t at each interface, with an
 r-scaled reflected sample recorded on the incident side; acoustic traces
 carry intensities stepped by T_I with an R_I sample recorded likewise.
 Detection inverts this: interface detectors match measured sample ratios
-against the same step coefficients of candidate media pairs.  Vertex
-detectors test trace tails (the last `window` of each trace, or all of it
-when the window is None) against the two-mode coupling ODEs or exponential
-gain, and trace endpoints against a coupler cascade whose angles are fitted
-in closed form between given delay stages (zero-length when None).
+against the same step coefficients of candidate media pairs and return
+their hits as columns (InterfaceHits).  Vertex detectors test trace tails
+(the last `window` of each trace, or all of it when the window is None)
+against the two-mode coupling ODEs or exponential gain, and trace endpoints
+against a coupler cascade whose angles are fitted in closed form between
+given delay stages (zero-length when None).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -104,6 +106,82 @@ class InterfaceHit:
     residual: float
 
 
+@dataclass(frozen=True, eq=False)
+class InterfaceHits(Sequence):
+    """Interface hits as columns, one row per hit: ray_id and z (k,),
+    position (k, dim), complex t and r (k,), pair (k, 2) and residual (k,).
+
+    As a sequence it yields InterfaceHit views, built only when indexed or
+    iterated, and it equals any list, tuple or InterfaceHits of equal hits.
+    """
+
+    ray_id: np.ndarray
+    z: np.ndarray
+    position: np.ndarray
+    t: np.ndarray
+    r: np.ndarray
+    pair: np.ndarray
+    residual: np.ndarray
+
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self.z)
+
+    def __iter__(self):
+        return map(
+            InterfaceHit,
+            self.ray_id.tolist(),
+            self.z.tolist(),
+            map(tuple, self.position.tolist()),
+            self.t.tolist(),
+            self.r.tolist(),
+            map(tuple, self.pair.tolist()),
+            self.residual.tolist(),
+        )
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return InterfaceHits(*(column[index] for column in self._columns()))
+        i = range(len(self))[index]
+        return next(iter(self[i:i + 1]))
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, tuple, InterfaceHits)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    @classmethod
+    def from_hits(cls, hits) -> InterfaceHits:
+        """The columns of InterfaceHit records, which must share one position
+        dimension (a None position has none)."""
+        hits = list(hits)
+        positions = [h.position or () for h in hits]
+        dims = set(map(len, positions))
+        if len(dims) > 1:
+            raise ValueError(f"interface hits mix positions of {sorted(dims)} coordinates")
+        k = len(hits)
+        return cls(
+            ray_id=np.array([h.ray_id for h in hits], dtype=int),
+            z=np.array([h.z for h in hits], dtype=float),
+            position=np.array(positions, dtype=float).reshape(k, dims.pop() if dims else 0),
+            t=np.array([h.measured_t for h in hits], dtype=complex),
+            r=np.array([h.measured_r for h in hits], dtype=complex),
+            pair=np.array([h.media_pair for h in hits], dtype=float).reshape(k, 2),
+            residual=np.array([h.residual for h in hits], dtype=float),
+        )
+
+    @classmethod
+    def concatenate(cls, parts) -> InterfaceHits:
+        """The hits of each part in turn; parts without hits are skipped, so
+        only the parts that hold hits must share a position dimension."""
+        parts = [part for part in parts if len(part)]
+        if not parts:
+            return cls.from_hits([])
+        return cls(*map(np.concatenate, zip(*(part._columns() for part in parts))))
+
+
 @dataclass(frozen=True)
 class VertexVerdict:
     is_vertex: bool
@@ -125,7 +203,7 @@ class VertexHit:
 
 @dataclass
 class DetectionReport:
-    interface_hits: list = field(default_factory=list)
+    interface_hits: Sequence[InterfaceHit] = field(default_factory=list)
     vertex_hits: list = field(default_factory=list)
     params_used: dict = field(default_factory=dict)
 
@@ -313,14 +391,15 @@ def _require_kind(trace: FieldTrace, wave_kind: str) -> None:
 
 def _detect_interfaces(
     trace: FieldTrace, wave_kind: str, candidates, tol: float, paper_exact: bool = False
-) -> list[InterfaceHit]:
+) -> InterfaceHits:
     """Match adjacent-sample ratios against the step coefficients (t, r) of
     each candidate pair of media values.
 
     A sample i is flagged when, for some candidate, both
     |t_hat - t| <= tol*|t| and |r_hat - r| <= tol*max(|r|, tol); the
     recorded residual is the larger normalized deviation.  Runs of
-    consecutive flagged samples merge into one hit at the first flagged z.
+    consecutive flagged samples merge into one hit at the first flagged z,
+    whose position is origin + z*direction (the arithmetic of Ray.point_at).
     """
     _require_kind(trace, wave_kind)
     coeff_table = [
@@ -330,7 +409,7 @@ def _detect_interfaces(
     z, inc, refl = trace.z, trace.incident, trace.reflected
     n = len(z) - 1
     if n < 1:
-        return []
+        return InterfaceHits.from_hits([])
     with np.errstate(divide="ignore", invalid="ignore"):
         t_hat = inc[1:] / inc[:-1]
         r_hat = refl[:-1] / inc[:-1]
@@ -348,27 +427,20 @@ def _detect_interfaces(
 
     flagged = best_pair >= 0
     firsts = np.flatnonzero(flagged & ~np.concatenate(([False], flagged[:-1])))
-    return [
-        InterfaceHit(
-            ray_id=trace.ray_id,
-            z=z_first,
-            position=trace.ray.point_at(z_first),
-            measured_t=t_first,
-            measured_r=r_first,
-            media_pair=coeff_table[p_first][0],
-            residual=res_first,
-        )
-        for z_first, t_first, r_first, p_first, res_first in zip(
-            z[firsts].tolist(),
-            t_hat[firsts].tolist(),
-            r_hat[firsts].tolist(),
-            best_pair[firsts].tolist(),
-            best_res[firsts].tolist(),
-        )
-    ]
+    z_hits = z[firsts]
+    pairs = np.array([pair for pair, _, _ in coeff_table], dtype=float).reshape(-1, 2)
+    return InterfaceHits(
+        ray_id=np.full(len(firsts), trace.ray_id),
+        z=z_hits,
+        position=np.asarray(trace.ray.origin) + z_hits[:, None] * np.asarray(trace.ray.direction),
+        t=t_hat[firsts],
+        r=r_hat[firsts],
+        pair=pairs[best_pair[firsts]],
+        residual=best_res[firsts],
+    )
 
 
-def detect_interfaces_em(trace: FieldTrace, candidates, tol: float) -> list[InterfaceHit]:
+def detect_interfaces_em(trace: FieldTrace, candidates, tol: float) -> InterfaceHits:
     """Flag sample positions whose amplitude ratios match a candidate
     refractive-index pair (n1, n2) within tol.  Candidates are tried in
     ascending order, so ties report the lexicographically smallest pair."""
@@ -377,7 +449,7 @@ def detect_interfaces_em(trace: FieldTrace, candidates, tol: float) -> list[Inte
 
 def detect_interfaces_acoustic(
     trace: FieldTrace, candidates, tol: float, paper_exact: bool = False
-) -> list[InterfaceHit]:
+) -> InterfaceHits:
     """Acoustic analog of detect_interfaces_em over impedance pairs
     (Z1, Z2), matching intensity ratios against the energy-conserving
     coefficients (or the as-published variant when paper_exact)."""

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from .acoustic import AcousticMedium
 from .detect import (
     DetectionReport,
+    InterfaceHits,
     Ray,
     VertexHit,
     detect_interfaces_acoustic,
@@ -433,15 +434,22 @@ def run_simulate(scenario: Scenario) -> list:
 
 
 def run_detect(scenario: Scenario, traces) -> DetectionReport:
-    """Interface detection on every trace plus configured vertex checks."""
+    """Interface detection on every trace, its hits kept as columns in ray
+    order, plus configured vertex checks."""
     by_id = {tr.ray_id: tr for tr in traces}
-    interface_hits = []
+    for ray_id, tr in sorted(by_id.items()):
+        if len(tr.ray.origin) != scenario.complex.dimension:
+            raise SchemaMismatch(
+                f"ray {ray_id} of the traces has {len(tr.ray.origin)} coordinates, "
+                f"the scenario's complex {scenario.complex.dimension}"
+            )
+    per_ray = []
     for ray_id in sorted(by_id) if scenario.candidates else []:
         tr = by_id[ray_id]
         if tr.wave_kind == "em":
-            interface_hits.extend(detect_interfaces_em(tr, scenario.candidates, scenario.tol))
+            per_ray.append(detect_interfaces_em(tr, scenario.candidates, scenario.tol))
         else:
-            interface_hits.extend(
+            per_ray.append(
                 detect_interfaces_acoustic(
                     tr, scenario.candidates, scenario.tol, paper_exact=scenario.paper_exact
                 )
@@ -471,7 +479,7 @@ def run_detect(scenario: Scenario, traces) -> DetectionReport:
                 )
             )
     return DetectionReport(
-        interface_hits=interface_hits,
+        interface_hits=InterfaceHits.concatenate(per_ray),
         vertex_hits=vertex_hits,
         params_used={
             "tol": scenario.tol,

@@ -9,7 +9,9 @@ geometry, wave kind, seed, tolerances, and variant flags.
 Trace bodies move in bulk with the bytes unchanged: the writer renders each
 ray's rows through one `%`-format row template and a single join, and the
 reader parses the whole body in one `np.loadtxt` pass.  Medium ids follow
-CSV quoting and are rendered or parsed once per distinct value.
+CSV quoting and are rendered or parsed once per distinct value.  Interface
+rows of a report are rendered the same way, from the columns of an
+InterfaceHits.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detect import DetectionReport, FieldTrace, InterfaceHit, Ray, VertexHit
+from .detect import DetectionReport, FieldTrace, InterfaceHit, InterfaceHits, Ray, VertexHit
 
 TRACE_COLUMNS = ["ray", "z", "incident_re", "incident_im", "reflected_re", "reflected_im", "medium"]
 REPORT_COLUMNS = [
@@ -31,10 +33,14 @@ REPORT_COLUMNS = [
     "pair_a", "pair_b", "criterion", "residual", "degenerate",
 ]
 FORMAT_VERSION = 1
-# One interface row of a report; its criterion and degenerate fields are empty.
-_INTERFACE_ROW = "interface,%s,%.17g,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,,%.17g,\n"
+# One interface row of a report; {position} becomes one %.17g per position
+# coordinate, joined by ';', and the criterion and degenerate fields are empty.
+_INTERFACE_ROW = "interface,%d,%.17g,{position},%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,,%.17g,\n"
 # One trace row: ray id, five floats, medium id (a CSV field, rendered once).
 _TRACE_ROW = ",%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
+# Interface rows rendered per write: bounds the Python floats and row strings
+# alive at once to a few MB however many hits a report holds.
+_ROWS_PER_WRITE = 4096
 _TRACE_DTYPE = np.dtype(
     [("ray", "i8")] + [(name, "f8") for name in TRACE_COLUMNS[1:6]] + [("medium", "O")]
 )
@@ -209,6 +215,24 @@ def _parse_medium_id(text: str):
         return text
 
 
+def _interface_rows(hits: InterfaceHits) -> str:
+    """The report rows of interface hits, rendered from their columns
+    through one row template with a field per position coordinate."""
+    row = _INTERFACE_ROW.format(position=";".join(["%.17g"] * hits.position.shape[1]))
+    rows = zip(
+        hits.ray_id.tolist(),
+        hits.z.tolist(),
+        *hits.position.T.tolist(),
+        hits.t.real.tolist(),
+        hits.t.imag.tolist(),
+        hits.r.real.tolist(),
+        hits.r.imag.tolist(),
+        *hits.pair.T.tolist(),
+        hits.residual.tolist(),
+    )
+    return "".join(map(row.__mod__, rows))
+
+
 def _join_position(position) -> str:
     if position is None:
         return ""
@@ -227,21 +251,11 @@ def write_report(path, report: DetectionReport) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(REPORT_COLUMNS)
-        fh.write("".join(
-            _INTERFACE_ROW % (
-                h.ray_id,
-                h.z,
-                _join_position(h.position),
-                h.measured_t.real,
-                h.measured_t.imag,
-                h.measured_r.real,
-                h.measured_r.imag,
-                h.media_pair[0],
-                h.media_pair[1],
-                h.residual,
-            )
-            for h in report.interface_hits
-        ))
+        hits = report.interface_hits
+        if not isinstance(hits, InterfaceHits):
+            hits = InterfaceHits.from_hits(hits)
+        for start in range(0, len(hits), _ROWS_PER_WRITE):
+            fh.write(_interface_rows(hits[start:start + _ROWS_PER_WRITE]))
         for v in report.vertex_hits:
             w.writerow(
                 [

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, driven in-process through main()."""
 
+import hashlib
+import json
 import math
 import re
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polywave import cli
+from polywave import cli, detect, traceio
 from polywave.coupled_mode import (
     CascadeSpec,
     CouplerStage,
@@ -238,6 +240,27 @@ def test_out_of_range_value_exit_2(old, new, message, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--seed", "-5"], "--seed: expected an integer >= 0, got '-5'"),
+    (["simulate", "--noise", "-0.5"], "--noise: expected a number >= 0, got '-0.5'"),
+    (["detect", "--tol", "nan"], "--tol: expected a finite number, got 'nan'"),
+])
+def test_out_of_range_override_exit_2(argv, message, tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+    traces, out = tmp_path / "traces.csv", tmp_path / "out.csv"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(traces)]) == 0
+    capsys.readouterr()
+    inputs = ["--traces", str(traces)] if argv[0] == "detect" else []
+    code = cli.main(argv + ["--config", str(cfg), *inputs, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_missing_config_exit_2(tmp_path, capsys):
     code = cli.main(
         ["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x.csv")]
@@ -272,6 +295,77 @@ def test_detect_reports_hits(rod, tmp_path, capsys):
     assert back.interface_hits[0].media_pair == (1.0, 1.5)
     assert abs(back.interface_hits[0].position[0] - 0.25) <= 0.001
     assert meta["counts"]["interface_hits"] == 2
+
+
+NOISY_ACOUSTIC_ROD = """\
+[geometry]
+dimension = 1
+vertices = 0.0 | 0.13 | 0.3 | 0.41 | 0.6 | 0.77 | 1.0
+simplices = 0 1 | 1 2 | 2 3 | 3 4 | 4 5 | 5 6
+
+[media]
+wave_kind = acoustic
+medium.0 = z=1.0 c=340.0
+medium.1 = z=1.25 c=1500.0
+medium.2 = z=1.75 c=5000.0
+medium.3 = z=1.0 c=340.0
+medium.4 = z=1.75 c=5000.0
+medium.5 = z=1.25 c=1500.0
+
+[rays]
+ray.0 = origin=0.0005 direction=1 length=0.9985 grid_step=0.0007
+ray.1 = origin=0.9993 direction=-1 length=0.998 grid_step=0.0011
+
+[detection]
+tol = 0.05
+noise_sigma = 0.01
+seed = 11
+candidates = 1.0,1.25 | 1.0,1.75 | 1.25,1.75
+"""
+
+
+def test_noisy_acoustic_rod_report_digest(tmp_path, capsys):
+    """simulate -> detect on a seeded noisy rod, both ray directions: the
+    report and its sidecar keep these digests."""
+    cfg, traces, report = tmp_path / "rod.cfg", tmp_path / "traces.csv", tmp_path / "report.csv"
+    cfg.write_text(NOISY_ACOUSTIC_ROD)
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(traces)]) == 0
+    assert cli.main(
+        ["detect", "--config", str(cfg), "--traces", str(traces), "--out", str(report)]
+    ) == 0
+    assert capsys.readouterr().out == "interface_hits=10 vertex_hits=0\n"
+    digests = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (report, sidecar_path(report))]
+    assert digests == [
+        "0c7410350eaecba86e006483ccc7dba1c8d4a40a5c56e0dcab68051f24739b20",
+        "2819f1b50e79bbc94ba81e74eb19f837f9ed53c6253dc24233ba21196457e28f",
+    ]
+
+
+def test_simulate_detect_builds_no_hit_objects(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("an InterfaceHit was built")
+
+    monkeypatch.setattr(detect, "InterfaceHit", refuse)
+    monkeypatch.setattr(traceio, "InterfaceHit", refuse)
+    cfg, traces, report = tmp_path / "rod.cfg", tmp_path / "traces.csv", tmp_path / "report.csv"
+    cfg.write_text(NOISY_ACOUSTIC_ROD)
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(traces)]) == 0
+    assert cli.main(
+        ["detect", "--config", str(cfg), "--traces", str(traces), "--out", str(report)]
+    ) == 0
+    assert capsys.readouterr().out == "interface_hits=10 vertex_hits=0\n"
+
+
+def test_detect_trace_ray_of_other_dimension_exit_4(rod, tmp_path, capsys):
+    def lift(path):
+        meta = json.loads(sidecar_path(path).read_text())
+        meta["rays"]["0"].update(origin=[0.0005, 0.0], direction=[1.0, 0.0])
+        sidecar_path(path).write_text(json.dumps(meta))
+
+    assert simulate_then_detect(rod, tmp_path, lift) == 4
+    assert "ray 0 of the traces has 2 coordinates, the scenario's complex 1" in (
+        capsys.readouterr().err
+    )
 
 
 def test_detect_missing_traces_exit_4(rod, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Trace synthesis along rays and interface/vertex detection."""
 
+import dataclasses
 import json
 import math
 
@@ -21,7 +22,10 @@ from polywave.coupled_mode import (
 )
 from polywave.detect import (
     FIT_BUDGET,
+    DetectionReport,
     FieldTrace,
+    InterfaceHit,
+    InterfaceHits,
     ObliqueCrossing,
     Ray,
     RayOutsideComplex,
@@ -41,7 +45,7 @@ from polywave.fresnel import EmMedium
 from polywave.fwm import GainModel, degenerate_gain
 from polywave.geometry import GeometryError, build_complex
 from polywave.scenario import Scenario, VertexCheck, run_detect
-from polywave.traceio import sidecar_path, write_report
+from polywave.traceio import fmt_float, sidecar_path, write_report
 
 ROD_MEDIA = {0: EmMedium(1.0), 1: EmMedium(1.5), 2: EmMedium(2.0)}
 ROD_RAY = Ray(origin=(0.0005,), direction=(1.0,), length=0.999, grid_step=0.001)
@@ -403,6 +407,116 @@ def test_noise_monotonicity_of_false_positives():
 def test_short_trace_no_hits():
     tr = em_trace([0.0], [1.0])
     assert detect_interfaces_em(tr, ROD_CANDIDATES, tol=1e-6) == []
+
+
+def test_interface_hits_are_a_sequence_of_views():
+    tr = synthesize_ray_trace(rod_complex(), ROD_MEDIA, ROD_RAY)
+    hits = detect_interfaces_em(tr, ROD_CANDIDATES, tol=1e-6)
+    assert isinstance(hits, InterfaceHits)
+    views = list(hits)
+    assert len(views) == 2 and all(type(h) is InterfaceHit for h in views)
+    assert [hits[0], hits[1]] == views and hits[-1] == views[1] and hits[-2] == views[0]
+    with pytest.raises(IndexError):
+        hits[2]
+    assert isinstance(hits[1:], InterfaceHits) and hits[1:] == views[1:]
+    assert hits == views and hits == tuple(views) and hits == InterfaceHits.from_hits(views)
+    assert hits != views[:1] and hits != views[::-1]
+    assert InterfaceHits.concatenate([hits, hits[:0], hits[:1]]) == views + views[:1]
+    assert InterfaceHits.concatenate([]) == []
+
+
+MEDIUM_VALUES = (1.0, 1.25, 1.5, 1.75, 2.0)
+
+
+def reference_rows(hits) -> str:
+    """Interface report rows rendered hit by hit, each float through
+    fmt_float and the position's coordinates joined by ';'."""
+    return "".join(
+        f"interface,{h.ray_id},{fmt_float(h.z)},{';'.join(map(fmt_float, h.position))},"
+        f"{fmt_float(h.measured_t.real)},{fmt_float(h.measured_t.imag)},"
+        f"{fmt_float(h.measured_r.real)},{fmt_float(h.measured_r.imag)},"
+        f"{fmt_float(h.media_pair[0])},{fmt_float(h.media_pair[1])},,{fmt_float(h.residual)},\n"
+        for h in hits
+    )
+
+
+def test_report_of_many_hits_matches_the_per_hit_rows(tmp_path):
+    """More hits than one write renders: every row, in order, once."""
+    rng = np.random.default_rng(3)
+    k = 3 * 4096 + 5
+    hits = InterfaceHits(
+        ray_id=rng.integers(0, 9, k), z=rng.random(k), position=rng.standard_normal((k, 2)),
+        t=rng.standard_normal(k) + 1j * rng.standard_normal(k), r=rng.standard_normal(k) + 0j,
+        pair=rng.choice(MEDIUM_VALUES, (k, 2)), residual=rng.random(k) * 1e-3,
+    )
+    path = tmp_path / "report.csv"
+    write_report(path, DetectionReport(interface_hits=hits))
+    assert path.read_text().split("\n", 1)[1] == reference_rows(hits)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    wave_kind=st.sampled_from(["em", "acoustic"]),
+    paper_exact=st.booleans(),
+    values=st.lists(st.sampled_from(MEDIUM_VALUES), min_size=2, max_size=7),
+    extra=st.lists(st.tuples(st.sampled_from(MEDIUM_VALUES), st.sampled_from(MEDIUM_VALUES)),
+                   max_size=3),
+    sigma=st.floats(0.0, 0.03),
+    seed=st.integers(0, 2**16),
+    step=st.floats(0.002, 0.02),
+    tol=st.floats(1e-6, 0.3),
+    ray_id=st.integers(0, 40),
+    origin=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+    direction=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    dim=st.integers(1, 3),
+)
+def test_interface_hit_columns_match_the_per_hit_formula(
+    tmp_path_factory, wave_kind, paper_exact, values, extra, sigma, seed, step, tol, ray_id,
+    origin, direction, dim,
+):
+    m = len(values)
+    cpx = build_complex(
+        1, [(i / m,) for i in range(m + 1)], [(i, i + 1) for i in range(m)],
+        media={i: i for i in range(m)},
+    )
+    if wave_kind == "em":
+        media = {i: EmMedium(v) for i, v in enumerate(values)}
+        detect = detect_interfaces_em
+    else:
+        media = {i: AcousticMedium(impedance=v, sound_speed=1.0) for i, v in enumerate(values)}
+        detect = lambda *args: detect_interfaces_acoustic(*args, paper_exact=paper_exact)  # noqa: E731
+    rod_ray = Ray(origin=(0.0005,), direction=(1.0,), length=0.998, grid_step=step)
+    trace = synthesize_ray_trace(cpx, media, rod_ray, sigma, seed, ray_id)
+    # the same samples, read as taken along a ray in 1-3 dimensions
+    norm = math.sqrt(sum(d * d for d in direction[:dim]))
+    if norm < 0.1:
+        direction, norm = [1.0, 0.0, 0.0], 1.0
+    ray = Ray(tuple(origin[:dim]), tuple(d / norm for d in direction[:dim]), 0.998, step)
+    trace = dataclasses.replace(trace, ray=ray)
+    candidates = list(zip(values, values[1:])) + extra
+    if wave_kind == "acoustic" and paper_exact:  # its transmittance is singular for Z1 == Z2
+        candidates = [(a, b) for a, b in candidates if a != b]
+
+    hits = detect(trace, candidates, tol)
+    expected = [
+        InterfaceHit(rid, z, ray.point_at(z), t, r, tuple(pair), residual)
+        for rid, z, t, r, pair, residual in zip(
+            hits.ray_id.tolist(), hits.z.tolist(), hits.t.tolist(), hits.r.tolist(),
+            hits.pair.tolist(), hits.residual.tolist(),
+        )
+    ]
+    assert list(hits) == expected
+    assert [hits[i] for i in range(len(hits))] == expected
+    assert set(hits.z.tolist()) <= set(trace.z.tolist())
+    assert all(h.ray_id == ray_id and h.residual <= tol for h in expected)
+    assert {h.media_pair for h in expected} <= {(float(a), float(b)) for a, b in candidates}
+
+    directory = tmp_path_factory.mktemp("report")
+    columnar, plain = directory / "columnar.csv", directory / "plain.csv"
+    write_report(columnar, DetectionReport(interface_hits=hits))
+    write_report(plain, DetectionReport(interface_hits=expected))
+    assert columnar.read_bytes() == plain.read_bytes()
+    assert columnar.read_text().split("\n", 1)[1] == reference_rows(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -768,6 +768,58 @@ def test_report_golden_bytes(tmp_path):
     )
 
 
+HEADER = b"kind,ray,z,position,t_re,t_im,r_re,r_im,pair_a,pair_b,criterion,residual,degenerate\n"
+
+
+def test_report_golden_bytes_2d_positions(tmp_path):
+    path = tmp_path / "report.csv"
+    write_report(path, DetectionReport(interface_hits=[
+        InterfaceHit(1, 0.125, (0.1 + 0.125 * 0.6, 0.2 + 0.125 * 0.8), complex(0.8, -1e-17),
+                     complex(-0.2, 0.0), (1.0, 1.5), 3.0e-16),
+        InterfaceHit(4, 1.0 / 3.0, (-0.0, 1.0 / 3.0), complex(1.0 / 3.0, 2.5),
+                     complex(-0.0, 1e300), (1.5, 2.0), 0.1),
+    ]))
+    assert path.read_bytes() == HEADER + (
+        b"interface,1,0.125,0.17499999999999999;0.30000000000000004,0.80000000000000004,"
+        b"-1.0000000000000001e-17,-0.20000000000000001,0,1,1.5,,2.9999999999999999e-16,\n"
+        b"interface,4,0.33333333333333331,-0;0.33333333333333331,0.33333333333333331,2.5,"
+        b"-0,1.0000000000000001e+300,1.5,2,,0.10000000000000001,\n"
+    )
+    assert json.loads(sidecar_path(path).read_text())["counts"]["interface_hits"] == 2
+
+
+def test_report_golden_bytes_3d_positions(tmp_path):
+    path = tmp_path / "report.csv"
+    write_report(path, DetectionReport(
+        interface_hits=[
+            InterfaceHit(0, 2.0 / 3.0, (1e-300, -2.5, 7.0), complex(0.64, 0.0),
+                         complex(0.36, -0.0), (1.0, 4.0), 2.220446049250313e-16),
+        ],
+        vertex_hits=[VertexHit((0.5, 0.25, 1.0), "fwm", 1e-9, (0,))],
+    ))
+    assert path.read_bytes() == HEADER + (
+        b"interface,0,0.66666666666666663,1e-300;-2.5;7,0.64000000000000001,0,"
+        b"0.35999999999999999,-0,1,4,,2.2204460492503131e-16,\n"
+        b"vertex,0,,0.5;0.25;1,,,,,,,fwm,1.0000000000000001e-09,0\n"
+    )
+
+
+def test_report_golden_bytes_without_hits(tmp_path):
+    path = tmp_path / "report.csv"
+    write_report(path, DetectionReport(params_used={"tol": 0.05}))
+    assert path.read_bytes() == HEADER
+    meta = json.loads(sidecar_path(path).read_text())
+    assert meta["counts"] == {"interface_hits": 0, "vertex_hits": 0}
+    assert meta["params_used"] == {"tol": 0.05}
+
+
+def test_report_rejects_hits_of_mixed_dimension(tmp_path):
+    hit = sample_report().interface_hits[0]
+    flat = InterfaceHit(1, hit.z, (0.5, 0.5), hit.measured_t, hit.measured_r, hit.media_pair, 0.0)
+    with pytest.raises(ValueError, match="mix positions of \\[1, 2\\] coordinates"):
+        write_report(tmp_path / "report.csv", DetectionReport(interface_hits=[hit, flat]))
+
+
 def test_report_schema_mismatches(tmp_path):
     path = tmp_path / "report.csv"
     write_report(path, sample_report())
