@@ -41,14 +41,14 @@ def _override(args, flag: str, key: str):
     try:
         return sc.SECTIONS["detection"][1][key](text)
     except ValueError as exc:
-        raise sc.ConfigParseError(0, 0, f"--{flag}: {exc}") from None
+        raise sc.ConfigParseError(f"--{flag}: {exc}") from None
 
 
 def _load_scenario(args) -> sc.Scenario:
     try:
         scenario = sc.load_scenario(args.config)
     except FileNotFoundError:
-        raise sc.ConfigParseError(0, 0, f"config file not found: {args.config}")
+        raise sc.ConfigParseError(f"config file not found: {args.config}")
     seed = _override(args, "seed", "seed")
     if seed is not None:
         scenario.seed = seed
@@ -61,6 +61,8 @@ def _load_scenario(args) -> sc.Scenario:
         for check in scenario.vertex_checks:
             check.tol = tol
     if getattr(args, "paper_exact", False):
+        if scenario.wave_kind == "em":
+            raise sc.ConfigParseError("--paper-exact: acoustic scenarios only (wave_kind is em)")
         scenario.paper_exact = True
     return scenario
 

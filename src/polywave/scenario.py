@@ -25,11 +25,13 @@ Example::
 
 `SECTIONS` is the one table of what a config accepts: each section's keys
 and the `key=value` tokens of each numbered `key.i` entry, each with the
-converter that reads it.  Lists use `|` between entries; vector components
-inside a token are comma-separated.  Input the table does not accept raises
-ConfigParseError with its line and column: an unknown, malformed, repeated
-or missing token, section or key, an index not written 0, 1, 2, ..., an id
-that is not a plain integer, and a number that is not finite.
+converter that reads it.  A medium's tokens depend on the section's
+`wave_kind` (`MEDIA`), a check's on its `criterion=` token (`CRITERIA`).
+Lists use `|` between entries; vector components inside a token are
+comma-separated.  Input the table does not accept raises ConfigParseError
+with its line and column: an unknown, malformed, repeated or missing token,
+section or key, an index not written 0, 1, 2, ..., an id that is not a
+plain integer, and a number that is not finite.
 """
 
 from __future__ import annotations
@@ -57,11 +59,14 @@ from .traceio import SchemaMismatch
 
 
 class ConfigParseError(Exception):
-    def __init__(self, line: int, col: int, message: str):
+    """A config input error, at its line and column when it has one in the
+    config file (a missing file or section and a command-line flag have none)."""
+
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
         self.line = line
         self.col = col
         self.message = message
-        super().__init__(f"line {line}, col {col}: {message}")
+        super().__init__(message if line is None else f"line {line}, col {col}: {message}")
 
 
 def parse_blocks(text: str) -> dict:
@@ -77,25 +82,25 @@ def parse_blocks(text: str) -> dict:
         indent = len(line) - len(line.lstrip())
         if stripped.startswith("["):
             if not stripped.endswith("]") or len(stripped) < 3:
-                raise ConfigParseError(lineno, indent + 1, f"malformed section header {stripped!r}")
+                raise ConfigParseError(f"malformed section header {stripped!r}", lineno, indent + 1)
             name = stripped[1:-1].strip()
             if not name:
-                raise ConfigParseError(lineno, indent + 2, "empty section name")
+                raise ConfigParseError("empty section name", lineno, indent + 2)
             if name in sections:
-                raise ConfigParseError(lineno, indent + 1, f"duplicate section [{name}]")
+                raise ConfigParseError(f"duplicate section [{name}]", lineno, indent + 1)
             current = {"": ("", lineno, indent + 1)}
             sections[name] = current
             continue
         if current is None:
-            raise ConfigParseError(lineno, indent + 1, "key outside any [section]")
+            raise ConfigParseError("key outside any [section]", lineno, indent + 1)
         if "=" not in stripped:
-            raise ConfigParseError(lineno, indent + 1, f"expected key = value, got {stripped!r}")
+            raise ConfigParseError(f"expected key = value, got {stripped!r}", lineno, indent + 1)
         key, _, value = stripped.partition("=")
         key = key.strip()
         if not key:
-            raise ConfigParseError(lineno, indent + 1, "empty key before '='")
+            raise ConfigParseError("empty key before '='", lineno, indent + 1)
         if key in current:
-            raise ConfigParseError(lineno, indent + 1, f"duplicate key {key!r}")
+            raise ConfigParseError(f"duplicate key {key!r}", lineno, indent + 1)
         col = raw.index("=") + 2
         current[key] = (value.strip(), lineno, col)
     return sections
@@ -229,12 +234,6 @@ def _one_of(options, noun: str, fold=str):
 # ---------------------------------------------------------------------------
 # the table: every section, key and token a config accepts, and its converter
 
-RAYS_PER_CRITERION = {  # criterion -> (fewest, most, as said in errors)
-    "coupled_mode": (2, 2, "exactly 2 rays"),
-    "cascade": (2, math.inf, "at least 2 rays"),
-    "fwm": (1, 1, "exactly 1 ray"),
-}
-
 # A token table maps each token of a `key.i` entry to (the field it sets,
 # its converter, whether the field is required).  Tokens that set the same
 # field are alternatives, of which at most one may be given.
@@ -247,7 +246,34 @@ MEDIA = {  # wave kind -> (medium class, token table)
     }),
 }
 
-SECTIONS = {  # section -> (required, {key: converter, or `key.i`: its token table})
+_EVERY_CHECK = {  # the tokens of every criterion: its rays and its tolerance
+    "ray": ("ray_ids", lambda text: (_integer(text),), True),
+    "rays": ("ray_ids", _integers(","), True),
+    "tol": ("tol", _positive, False),
+}
+# criterion -> (fewest rays, most rays, as said in errors, token table): a
+# check's table holds exactly the settings its detector reads
+CRITERIA = {
+    "coupled_mode": (2, 2, "exactly 2 rays", {
+        **_EVERY_CHECK,
+        "window": ("window", _positive, False),
+        "kappa_min": ("kappa_min", _nonnegative, False),
+    }),
+    "cascade": (2, math.inf, "at least 2 rays", {
+        **_EVERY_CHECK,
+        "position": ("position", _vector, False),
+    }),
+    "fwm": (1, 1, "exactly 1 ray", {
+        **_EVERY_CHECK,
+        "window": ("window", _positive, False),
+        "chi3": ("chi3", _number, False),
+        "pumps": ("pumps", _vector, False),
+    }),
+}
+
+# section -> (required, {key: converter, or `key.i`: its token table, or
+# MEDIA or CRITERIA, of which the wave kind or criterion picks the table})
+SECTIONS = {
     "geometry": (True, {
         "dimension": _integer,
         "vertices": _list(_numbers(None)),
@@ -267,33 +293,23 @@ SECTIONS = {  # section -> (required, {key: converter, or `key.i`: its token tab
         "paper_exact": _flag,
         "candidates": _list(_pair),
     }),
-    "vertices": (False, {"check.i": {
-        "criterion": ("criterion", _one_of(RAYS_PER_CRITERION, "criterion"), True),
-        "ray": ("ray_ids", lambda text: (_integer(text),), True),
-        "rays": ("ray_ids", _integers(","), True),
-        "tol": ("tol", _positive, False),
-        "window": ("window", _positive, False),
-        "position": ("position", _vector, False),
-        "kappa_min": ("kappa_min", _nonnegative, False),
-        "chi3": ("chi3", _number, False),
-        "pumps": ("pumps", _vector, False),
-    }}),
+    "vertices": (False, {"check.i": CRITERIA}),
 }
 
 
 def _fail(entry, message: str):
     _, line, col = entry
-    raise ConfigParseError(line, col, message)
+    raise ConfigParseError(message, line, col)
 
 
 def _section(sections: dict, name: str) -> tuple[dict, list, dict | None]:
     """[name]'s plain keys, converted; its `key.i` entries as (key, entry)
-    pairs, in index order; and the token table of those entries."""
+    pairs, in index order; and their token table, or MEDIA or CRITERIA."""
     required, table = SECTIONS[name]
     tokens = next((table[key] for key in table if "." in key), None)
     if name not in sections:
         if required:
-            raise ConfigParseError(0, 0, f"missing required section [{name}]")
+            raise ConfigParseError(f"missing required section [{name}]")
         return {}, [], tokens
     fields, entries = {}, {}
     for key, entry in sections[name].items():
@@ -301,7 +317,7 @@ def _section(sections: dict, name: str) -> tuple[dict, list, dict | None]:
             continue
         prefix, dot, index = key.partition(".")
         if (prefix + ".i" if dot else key) not in table:
-            raise ConfigParseError(entry[1], 1, f"unknown key {key!r} in [{name}]")
+            raise ConfigParseError(f"unknown key {key!r} in [{name}]", entry[1], 1)
         if not dot:
             try:
                 fields[key] = table[key](entry[0])
@@ -310,7 +326,7 @@ def _section(sections: dict, name: str) -> tuple[dict, list, dict | None]:
         elif _INDEX.fullmatch(index):
             entries[int(index)] = (key, entry)
         else:
-            raise ConfigParseError(entry[1], 1, f"{name}: bad index in key {key!r} (use 0, 1, ...)")
+            raise ConfigParseError(f"{name}: bad index in key {key!r} (use 0, 1, ...)", entry[1], 1)
     header = sections[name][""]
     for key in table:
         if required and "." not in key and key not in fields:
@@ -325,10 +341,9 @@ def _spelled(table: dict, field: str) -> str:
     return " or ".join(f"{token}=" for token, spec in table.items() if spec[0] == field)
 
 
-def _tokens(entry, what: str, table: dict) -> dict:
-    """The fields of an 'a=1 b=2,3' entry, read by its token table.
-    Malformed, repeated, missing required and unknown tokens are errors,
-    reported in that order; then each value is converted."""
+def _given(entry, what: str) -> dict:
+    """The tokens of an 'a=1 b=2,3' entry as {key: text}; a malformed or
+    repeated token is an error."""
     given = {}
     for token in entry[0].split():
         key, _, text = token.partition("=")
@@ -337,6 +352,13 @@ def _tokens(entry, what: str, table: dict) -> dict:
         if key in given:
             _fail(entry, f"{what}: repeated token {key}=")
         given[key] = text
+    return given
+
+
+def _tokens(entry, what: str, table: dict, given: dict) -> dict:
+    """The fields that an entry's given tokens set, read by its token table.
+    Missing required and unknown tokens are errors, reported in that order;
+    then each value is converted."""
     for token, (field, _, required) in table.items():
         if required and token not in given and not any(
             table[key][0] == field for key in given if key in table
@@ -376,7 +398,7 @@ def load_scenario_text(text: str) -> Scenario:
     media_keys, medium_entries, kinds = _section(sections, "media")
     medium_class, medium_tokens = kinds[media_keys["wave_kind"]]
     media = {
-        i: _build(medium_class, _tokens(entry, key, medium_tokens), entry, key)
+        i: _build(medium_class, _tokens(entry, key, medium_tokens, _given(entry, key)), entry, key)
         for i, (key, entry) in enumerate(medium_entries)
     }
     if len(media) != len(geometry["simplices"]):
@@ -388,7 +410,7 @@ def load_scenario_text(text: str) -> Scenario:
     _, ray_entries, ray_tokens = _section(sections, "rays")
     rays = []
     for key, entry in ray_entries:
-        fields = _tokens(entry, key, ray_tokens)
+        fields = _tokens(entry, key, ray_tokens, _given(entry, key))
         direction = fields["direction"]
         if len(fields["origin"]) != cpx.dimension or len(direction) != cpx.dimension:
             _fail(entry, f"{key}: origin/direction must have {cpx.dimension} components")
@@ -399,16 +421,29 @@ def load_scenario_text(text: str) -> Scenario:
         rays.append(_build(Ray, fields, entry, key))
 
     detection, _, _ = _section(sections, "detection")
+    if detection.get("paper_exact") and media_keys["wave_kind"] == "em":
+        message = "paper_exact: acoustic scenarios only (wave_kind is em)"
+        _fail(sections["detection"]["paper_exact"], message)
     scenario = Scenario(complex=cpx, media=media, rays=rays, **media_keys, **detection)
-    _, check_entries, check_tokens = _section(sections, "vertices")
+    _, check_entries, criteria = _section(sections, "vertices")
     for key, entry in check_entries:
-        check = VertexCheck(**{"tol": scenario.tol, **_tokens(entry, key, check_tokens)})
+        given = _given(entry, key)
+        if "criterion" not in given:
+            _fail(entry, f"{key}: missing criterion= (one of {', '.join(sorted(criteria))})")
+        try:
+            criterion = _one_of(criteria, "criterion")(given.pop("criterion"))
+        except ValueError as exc:
+            _fail(entry, f"{key} criterion: {exc}")
+        low, high, wanted, tokens = criteria[criterion]
+        fields = _tokens(entry, key, tokens, given)
+        check = VertexCheck(criterion, **{"tol": scenario.tol, **fields})
         absent = [r for r in check.ray_ids if not 0 <= r < len(rays)]
         if absent:
             _fail(entry, f"{key}: no ray {absent[0]}")
-        low, high, wanted = RAYS_PER_CRITERION[check.criterion]
         if not low <= len(check.ray_ids) <= high:
-            _fail(entry, f"{key}: {check.criterion} takes {wanted}, got {len(check.ray_ids)}")
+            _fail(entry, f"{key}: {criterion} takes {wanted}, got {len(check.ray_ids)}")
+        if check.position is not None and len(check.position) != cpx.dimension:
+            _fail(entry, f"{key}: position must have {cpx.dimension} components")
         scenario.vertex_checks.append(check)
     return scenario
 

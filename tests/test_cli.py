@@ -228,6 +228,9 @@ def test_non_finite_number_exit_2(old, new, token, tmp_path, capsys):
     ("n=1.5", "n=-1.5", "medium.1: refractive index must be > 0, got -1.5"),
     ("length=0.999 grid_step=0.001\nray.1", "length=0.999 grid_step=-0.001\nray.1",
      "ray.0: grid_step must be > 0, got -0.001"),
+    ("criterion=coupled_mode rays=0,1", "criterion=cascade rays=0,1 position=0.1,0.2,0.3",
+     "check.0: position must have 1 components"),
+    ("candidates =", "paper_exact = true\ncandidates =", "paper_exact: acoustic scenarios only"),
 ])
 def test_out_of_range_value_exit_2(old, new, message, tmp_path, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -244,6 +247,7 @@ def test_out_of_range_value_exit_2(old, new, message, tmp_path, capsys):
     (["simulate", "--seed", "-5"], "--seed: expected an integer >= 0, got '-5'"),
     (["simulate", "--noise", "-0.5"], "--noise: expected a number >= 0, got '-0.5'"),
     (["detect", "--tol", "nan"], "--tol: expected a finite number, got 'nan'"),
+    (["detect", "--paper-exact"], "--paper-exact: acoustic scenarios only (wave_kind is em)"),
 ])
 def test_out_of_range_override_exit_2(argv, message, tmp_path, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -259,6 +263,23 @@ def test_out_of_range_override_exit_2(argv, message, tmp_path, capsys):
     assert err.startswith("config error: ") and message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, stderr", [
+    (["--seed", "-5"], ROD_CONFIG, "config error: --seed: expected an integer >= 0, got '-5'\n"),
+    ([], None, "config error: config file not found: {config}\n"),
+    ([], ROD_CONFIG.partition("[media]")[0], "config error: missing required section [media]\n"),
+], ids=["flag", "missing-file", "missing-section"])
+def test_config_error_without_a_config_line_gives_no_position(
+    argv, config, stderr, tmp_path, capsys
+):
+    """An error with no line in the config file reads `config error: message`."""
+    cfg = tmp_path / "error.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), *argv])
+    assert code == 2
+    assert capsys.readouterr().err == stderr.format(config=cfg)
 
 
 def test_simulate_missing_config_exit_2(tmp_path, capsys):

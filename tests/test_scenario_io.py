@@ -22,6 +22,8 @@ from polywave.detect import (
 from polywave.fresnel import EmMedium
 from polywave.geometry import GeometryError
 from polywave.scenario import (
+    CRITERIA,
+    MEDIA,
     SECTIONS,
     ConfigParseError,
     _integer,
@@ -314,18 +316,35 @@ def test_empty_rays_block_allowed():
 
 
 # ---------------------------------------------------------------------------
-# the parser's token table, walked entry kind by entry kind
+# the parser's token tables, walked entry kind by entry kind
 
 def token_tables() -> dict:
-    """{entry kind: token table} for every `key.i` entry the parser accepts."""
+    """{entry kind: token table} for every `key.i` entry the parser accepts:
+    one kind per wave kind and per criterion.  A criterion's table here also
+    holds the criterion= token that picks it."""
     tables = {}
     for section, (_, keys) in SECTIONS.items():
         for key, value in keys.items():
-            if key.endswith(".i") and section == "media":
+            if value is MEDIA:
                 tables.update({kind: tokens for kind, (_, tokens) in value.items()})
+            elif value is CRITERIA:
+                tables.update({
+                    criterion: {"criterion": ("criterion", None, True), **tokens}
+                    for criterion, (*_, tokens) in value.items()
+                })
             elif key.endswith(".i"):
                 tables[key[:-2]] = value
     return tables
+
+
+def check_kind(criterion: str, samples: dict) -> tuple:
+    """The ENTRY_KINDS value of a criterion's check, on ROD_CONFIG's one ray
+    (rays= names it as often as the criterion takes rays)."""
+    return (
+        ROD_CONFIG + "\n[vertices]\ncheck.0 = {}\n",
+        lambda sc: sc.vertex_checks[0],
+        {"criterion": (criterion, criterion), "ray": ("0", (0,)), "tol": ("1e-3", 1e-3), **samples},
+    )
 
 
 # entry kind -> (config with the entry as '{}', the loaded object, and
@@ -345,27 +364,27 @@ ENTRY_KINDS = {
         {"origin": ("0.25", (0.25,)), "direction": ("-2", (-1.0,)), "length": ("0.2", 0.2),
          "grid_step": ("0.01", 0.01)},
     ),
-    "check": (
-        ROD_CONFIG + "\n[vertices]\ncheck.0 = {}\n",
-        lambda sc: sc.vertex_checks[0],
-        {"criterion": ("fwm", "fwm"), "ray": ("0", (0,)), "rays": ("+0", (0,)),
-         "tol": ("1e-3", 1e-3), "window": ("0.5", 0.5), "position": ("0.5", (0.5,)),
-         "kappa_min": ("1e-5", 1e-5), "chi3": ("1e-22", 1e-22),
-         "pumps": ("1,2,3", (1.0, 2.0, 3.0))},
-    ),
+    "coupled_mode": check_kind("coupled_mode", {
+        "rays": ("0,+0", (0, 0)), "window": ("0.5", 0.5), "kappa_min": ("1e-5", 1e-5),
+    }),
+    "cascade": check_kind("cascade", {"rays": ("+0,0,0", (0, 0, 0)), "position": ("0.5", (0.5,))}),
+    "fwm": check_kind("fwm", {
+        "rays": ("+0", (0,)), "window": ("0.5", 0.5), "chi3": ("1e-22", 1e-22),
+        "pumps": ("1,2,3", (1.0, 2.0, 3.0)),
+    }),
 }
 TOKENS = [(kind, token) for kind, table in token_tables().items() for token in table]
 
 
 def render(kind: str, including: str, leaving_out: str | None = None) -> tuple[str, dict]:
     """A config whose `kind` entry gives one token per field of its table,
-    preferring `including` among alternatives and skipping `leaving_out`'s
-    field; and the tokens it gave."""
+    preferring `including` among alternatives (else the last, rays= over
+    ray=) and skipping `leaving_out`'s field; and the tokens it gave."""
     table, (config, _, samples) = token_tables()[kind], ENTRY_KINDS[kind]
     skipped = table[leaving_out][0] if leaving_out else None
     chosen = {}  # field -> token
     for token, (field, _, _) in table.items():
-        if field != skipped and (token == including or field not in chosen):
+        if field != skipped and chosen.get(field) != including:
             chosen[field] = token
     tokens = {token: samples[token] for token in chosen.values()}
     return config.replace("{}", " ".join(f"{t}={text}" for t, (text, _) in tokens.items())), tokens
@@ -377,7 +396,11 @@ def test_entry_samples_cover_the_table():
     }
 
 
-@pytest.mark.parametrize("kind, token", TOKENS)
+# ray= names one ray, fewer than coupled_mode and cascade take: that entry is
+# an error, checked in test_vertex_check_ray_counts
+@pytest.mark.parametrize("kind, token", [
+    (k, t) for k, t in TOKENS if (k, t) not in {("coupled_mode", "ray"), ("cascade", "ray")}
+])
 def test_rendered_entry_loads_to_its_fields(kind, token):
     text, tokens = render(kind, including=token)
     loaded = ENTRY_KINDS[kind][1](load_scenario_text(text))
@@ -399,6 +422,30 @@ def test_required_token_left_out_is_an_error_naming_it(kind, token):
     text, _ = render(kind, including=token, leaving_out=token)
     err = parse_error(text)
     assert "missing " in err.message and f"{token}=" in err.message.partition("(")[0]
+
+
+CHECK_TOKENS = sorted(  # every criterion reads ray=/rays=, walked above
+    {token for *_, table in CRITERIA.values() for token, (field, _, _) in table.items()
+     if field != "ray_ids"}
+)
+
+
+@pytest.mark.parametrize("token", CHECK_TOKENS)
+@pytest.mark.parametrize("criterion", CRITERIA)
+def test_check_accepts_only_the_tokens_its_criterion_reads(criterion, token):
+    """A check setting that its criterion's detector does not read is an
+    unknown token, like any token its table lacks."""
+    rays = "ray=0" if criterion == "fwm" else "rays=0,0"
+    sample = next(samples[token][0] for *_, samples in ENTRY_KINDS.values() if token in samples)
+    text = ROD_CONFIG + f"\n[vertices]\ncheck.0 = criterion={criterion} {rays} {token}={sample}\n"
+    table = CRITERIA[criterion][3]
+    if token in table:
+        assert load_scenario_text(text).vertex_checks[0].criterion == criterion
+    else:
+        err = parse_error(text)
+        accepted = ", ".join(sorted(table))
+        assert err.message == f"check.0: unknown token {token}= (accepted: {accepted})"
+        assert err.line == text.splitlines().index("[vertices]") + 2
 
 
 @pytest.mark.parametrize("field", ["origin", "direction", "length", "grid_step"])
