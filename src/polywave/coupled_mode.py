@@ -61,14 +61,15 @@ def default_step(p: CoupledModeParams, z_max: float) -> float:
 
 def rk4_step_matrix(gen, h: float) -> np.ndarray:
     """One classical RK4 step of dx/dz = -i gen x, as the matrix P with
-    x(z + h) ~= P x(z).
+    x(z + h) ~= P x(z).  `gen` is one (n, n) generator or a (k, n, n)
+    stack of them, which gives the (k, n, n) stack of step matrices.
 
     For a linear system the four RK4 stages collapse into the degree-4
     Taylor polynomial of exp(-i h gen): P = I + m + m^2/2 + m^3/6 + m^4/24
     with m = -i h gen.
     """
     m = -1j * h * np.asarray(gen, dtype=complex)
-    eye = np.eye(len(m), dtype=complex)
+    eye = np.eye(m.shape[-1], dtype=complex)
     return eye + m @ (eye + m @ (eye + m @ (eye + m / 4.0) / 3.0) / 2.0)
 
 

@@ -469,44 +469,62 @@ def _window_tail(trace: FieldTrace, window: float | None):
 
 
 FIT_BUDGET = 500  # residual evaluations per coupled-mode fit, Jacobians included
+# A fit stalls after STALL_STEPS accepted steps in a row that each lower |r|^2
+# by less than STALL_GAIN of itself, above a floor the caller sets.  The
+# coupled-mode fit sets it at an rms residual of STALL_FACTOR * tol: a fit
+# creeping that far above tol is a reject, and one under it never stalls.
+STALL_STEPS = 3
+STALL_GAIN = 1e-3
+STALL_FACTOR = 100.0
 
 
-def _levenberg_marquardt(residuals, p0, delta, budget=FIT_BUDGET):
-    """Minimize |residuals(p)|^2 by Levenberg-Marquardt with Marquardt's
-    diagonal scaling, Nielsen's damping update, and a forward-difference
-    Jacobian (parameter j perturbed by delta[j]).
+def _levenberg_marquardt(residuals, p0, delta, stall_floor, budget=FIT_BUDGET):
+    """Minimize |r|^2 by Levenberg-Marquardt with Marquardt's diagonal
+    scaling, Nielsen's damping update, and a forward-difference Jacobian
+    (parameter j perturbed by delta[j]).
 
-    Returns (p, r, evaluations, stop): stop is "converged" once a proposed
-    step is below 1e-12 of |p| + |delta|, and "budget" when the
-    evaluations run out first.
+    `residuals` is batched: it maps a (k, n_params) stack of points to the
+    (k, m) stack of their residual rows, so the Jacobian's n_params
+    perturbed points are one call.  Returns (p, r, evaluations, stop), where
+    stop is one of
+      "converged"  a proposed step is below 1e-12 of |p| + |delta|;
+      "stalled"    STALL_STEPS accepted steps in a row each lowered |r|^2 by
+                   less than STALL_GAIN of itself, with |r|^2 still above
+                   stall_floor;
+      "budget"     the evaluations ran out first.
     """
     p = np.asarray(p0, dtype=float)
-    r = residuals(p)
+    r = residuals(p[None])[0]
     f = float(r @ r)
-    evals, lam, nu, jac = 1, 1e-3, 2.0, None
+    evals, lam, nu, jac, slow = 1, 1e-3, 2.0, None, 0
     step_floor = 1e-12 * np.linalg.norm(delta)
     while evals < budget:
         if jac is None:
             if evals + len(p) >= budget:
                 break
-            jac = np.column_stack([(residuals(p + e) - r) / d for e, d in zip(np.diag(delta), delta)])
+            rows = residuals(p + np.diag(delta))
+            jac = np.column_stack([(row - r) / d for row, d in zip(rows, delta)])
             evals += len(p)
             jtj, grad = jac.T @ jac, jac.T @ r
-        step = np.linalg.lstsq(jtj + lam * np.diag(np.diag(jtj)), -grad, rcond=None)[0]
+            scale = np.diag(np.diag(jtj))
+        step = np.linalg.lstsq(jtj + lam * scale, -grad, rcond=None)[0]
         trial = p + step
-        rt = residuals(trial)
+        rt = residuals(trial[None])[0]
         evals += 1
         ft = float(rt @ rt)
         if ft < f:
             predicted = -(2.0 * float(step @ grad) + float(step @ jtj @ step))
             rho = (f - ft) / predicted if predicted > 0.0 else 0.0
             lam *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            slow = slow + 1 if f - ft < STALL_GAIN * f and ft > stall_floor else 0
             p, r, f, nu, jac = trial, rt, ft, 2.0, None
         else:
             lam *= nu
             nu *= 2.0
         if np.linalg.norm(step) <= 1e-12 * np.linalg.norm(p) + step_floor:
             return p, r, evals, "converged"
+        if slow == STALL_STEPS:
+            return p, r, evals, "stalled"
     return p, r, evals, "budget"
 
 
@@ -549,13 +567,22 @@ def detect_vertex_coupled_mode(
     (beta1, beta2, kappa12, kappa21).  Traces are normalized by their joint initial magnitude
     first, so the verdict only sees ratios.  The model steps each sample
     to the next with one RK4 step matrix; the residual is the rms complex
-    deviation of the predicted samples.  The fit starts from the closed
-    form of `_closed_form_start` and is polished by Levenberg-Marquardt
-    within FIT_BUDGET residual evaluations.  A vertex needs both residual
-    <= tol and max(|kappa12|, |kappa21|) >= kappa_min on non-degenerate
-    traces.  `params`: the fit (beta1, beta2, kappa12, kappa21),
-    evaluations, stop ("converged" or "budget") and window_samples; empty
-    for traces that vanish at the window start or hold non-finite samples.
+    deviation of the N predicted samples of both modes.  The fit's residual
+    function is batched: a (k, 4) stack of parameter points gives (k, 4N)
+    rows, the real then the imaginary parts of each point's 2N complex
+    deviations.  The fit starts from the closed form of `_closed_form_start`
+    and is polished by Levenberg-Marquardt within FIT_BUDGET residual
+    evaluations.  A vertex needs both residual <= tol and
+    max(|kappa12|, |kappa21|) >= kappa_min on non-degenerate traces.
+    `params`: the fit (beta1, beta2, kappa12, kappa21), evaluations, stop
+    and window_samples; empty for traces that vanish at the window start or
+    hold non-finite samples.  stop is one of
+      "converged"  the last proposed step was negligible;
+      "stalled"    STALL_STEPS accepted steps in a row each lowered the
+                   squared residual by less than STALL_GAIN of itself,
+                   with the residual still above STALL_FACTOR * tol: a
+                   reject, ended early;
+      "budget"     the FIT_BUDGET evaluations ran out.
     """
     za, a = _window_tail(trace_a, corner_window)
     zb, b = _window_tail(trace_b, corner_window)
@@ -577,23 +604,27 @@ def detect_vertex_coupled_mode(
     degenerate = variation < 1e-12
 
     h = float(z[-1]) / (len(z) - 1)
-    measured = np.column_stack([a[1:], b[1:]])
+    measured = np.column_stack([a[1:], b[1:]]).ravel()
+    n, a0, b0 = len(a) - 1, complex(a[0]), complex(b[0])
 
-    def residuals(params):
-        beta1, beta2, k12, k21 = params
-        (p00, p01), (p10, p11) = _cm.rk4_step_matrix([[beta1, k12], [k21, beta2]], h).tolist()
-        xa, xb = complex(a[0]), complex(b[0])
+    def residuals(points):
+        # (k, 4n) rows of (k, 4) points; each point's recurrence runs in
+        # Python complex arithmetic, whose products numpy's do not match
+        gens = points[:, [0, 2, 3, 1]].reshape(-1, 2, 2)
         predicted = []
-        for _ in range(len(measured)):
-            xa, xb = p00 * xa + p01 * xb, p10 * xa + p11 * xb
-            predicted.append((xa, xb))
-        d = (np.array(predicted) - measured).ravel()
-        return np.concatenate([d.real, d.imag])
+        for (p00, p01), (p10, p11) in _cm.rk4_step_matrix(gens, h).tolist():
+            xa, xb = a0, b0
+            for _ in range(n):
+                xa, xb = p00 * xa + p01 * xb, p10 * xa + p11 * xb
+                predicted += xa, xb
+        d = np.array(predicted).reshape(len(points), -1) - measured
+        return np.concatenate([d.real, d.imag], axis=1)
 
     p0 = _closed_form_start(a, b, h)
     delta = [1.5e-8 * max(abs(v), 1.0 / float(z[-1])) for v in p0]
-    fitted, r, evals, stop = _levenberg_marquardt(residuals, p0, delta)
-    residual = math.sqrt(float(r @ r) / (2.0 * len(measured)))
+    stall_floor = (STALL_FACTOR * tol) ** 2 * (2.0 * n)
+    fitted, r, evals, stop = _levenberg_marquardt(residuals, p0, delta, stall_floor)
+    residual = math.sqrt(float(r @ r) / (2.0 * n))
     kappa_mag = max(abs(fitted[2]), abs(fitted[3]))
     return VertexVerdict(
         is_vertex=bool(residual <= tol and kappa_mag >= kappa_min and not degenerate),

@@ -291,7 +291,7 @@ SECTIONS = {
         "noise_sigma": _nonnegative,
         "seed": _bounded(_integer, lambda value: value >= 0, "an integer >= 0"),
         "paper_exact": _flag,
-        "candidates": _list(_pair),
+        "candidates": _list(_bounded(_pair, lambda pair: min(pair) > 0, "two numbers > 0")),
     }),
     "vertices": (False, {"check.i": CRITERIA}),
 }
@@ -522,7 +522,11 @@ def run_detect(scenario: Scenario, traces) -> DetectionReport:
             "seed": scenario.seed,
             "paper_exact": scenario.paper_exact,
             "wave_kind": scenario.wave_kind,
-            "coefficient_variant": "paper_exact" if scenario.paper_exact else "energy_conserving",
+            "coefficient_variant": (
+                "paper_exact"
+                if scenario.paper_exact and scenario.wave_kind == "acoustic"
+                else "energy_conserving"
+            ),
             "candidates": [list(c) for c in scenario.candidates],
             "vertex_checks": len(scenario.vertex_checks),
         },

@@ -265,6 +265,30 @@ def test_out_of_range_override_exit_2(argv, message, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "detect"])
+@pytest.mark.parametrize("entry", ["0,1.5", "-0,2.0", "1.0,-1"])
+def test_non_positive_candidate_exit_2(command, entry, tmp_path, capsys):
+    """A candidate index or impedance <= 0 is a config error at its line,
+    for both commands, where it used to reach detection as exit 5."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    line = text[:text.index("candidates =")].count("\n") + 1
+    good, bad = tmp_path / "readme.cfg", tmp_path / "bad.cfg"
+    good.write_text(text)
+    bad.write_text(text.replace("| 1.0,2.0\n", f"| {entry}\n"))
+    traces, out = tmp_path / "traces.csv", tmp_path / "out.csv"
+    assert cli.main(["simulate", "--config", str(good), "--out", str(traces)]) == 0
+    capsys.readouterr()
+    inputs = ["--traces", str(traces)] if command == "detect" else []
+    code = cli.main([command, "--config", str(bad), *inputs, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {line}, col ")
+    assert f"candidates: bad entry {entry!r}: expected two numbers > 0" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, config, stderr", [
     (["--seed", "-5"], ROD_CONFIG, "config error: --seed: expected an integer >= 0, got '-5'\n"),
     ([], None, "config error: config file not found: {config}\n"),

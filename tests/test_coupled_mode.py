@@ -140,6 +140,20 @@ def test_step_matrix_is_degree_four_taylor_polynomial():
     assert np.allclose(rk4_step_matrix(gen, h), expected, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_step_matrix_of_a_stack_equals_the_per_matrix_calls(real):
+    # the coupled-mode fit steps a (k, 2, 2) stack of real generators at
+    # once; its accepted residuals are pinned to the per-matrix bits
+    rng = np.random.default_rng(7)
+    gens = rng.uniform(-20.0, 20.0, (2000, 2, 2))
+    if not real:
+        gens = gens + 1j * rng.uniform(-20.0, 20.0, (2000, 2, 2))
+    for h in (0.05, 0.0123, 1.0 / 3.0):
+        stack = rk4_step_matrix(gens, h)
+        assert stack.shape == gens.shape
+        assert all(np.array_equal(step, rk4_step_matrix(gen, h)) for step, gen in zip(stack, gens))
+
+
 def test_closed_form_complete_transfer():
     pa, pb = closed_form_power(0.0, 1.0, math.pi / 2)
     assert pb == pytest.approx(1.0, abs=1e-15)

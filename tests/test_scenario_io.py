@@ -1,5 +1,6 @@
 """Scenario config parsing and trace/report file round trips."""
 
+import dataclasses
 import json
 import math
 import re
@@ -498,6 +499,17 @@ def test_run_simulate_and_detect_roundtrip():
     assert report.vertex_hits == []
     assert report.params_used["seed"] == 1234
     assert report.params_used["coefficient_variant"] == "energy_conserving"
+
+
+def test_em_scenario_built_with_paper_exact_records_the_variant_it_uses():
+    # EM detection never reads paper_exact, so a Scenario built in code with
+    # it set records the energy-conserving coefficients it was detected with
+    sc = load_scenario_text(ROD_CONFIG)
+    flagged = dataclasses.replace(sc, paper_exact=True)
+    traces = run_simulate(sc)
+    report = run_detect(flagged, traces)
+    assert report.params_used["coefficient_variant"] == "energy_conserving"
+    assert report.interface_hits == run_detect(sc, traces).interface_hits
 
 
 def test_run_simulate_seed_offsets_per_ray():
