@@ -54,6 +54,11 @@ class TooFewTraces(ValueError):
     pass
 
 
+# A ray spans at most this many grid steps (1,000,001 samples); a finer grid
+# is refused before synthesis allocates it.
+MAX_RAY_STEPS = 1_000_000
+
+
 @dataclass(frozen=True)
 class Ray:
     origin: tuple[float, ...]
@@ -75,6 +80,9 @@ class Ray:
             raise ValueError(f"grid_step must be > 0, got {self.grid_step}")
         if self.length < self.grid_step:
             raise ValueError("length must cover at least one grid step")
+        steps = self.length / self.grid_step
+        if steps > MAX_RAY_STEPS:
+            raise ValueError(f"length / grid_step must be <= {MAX_RAY_STEPS}, got {steps:.6g}")
 
     def point_at(self, z: float) -> tuple[float, ...]:
         return tuple(o + z * d for o, d in zip(self.origin, self.direction))
@@ -410,20 +418,22 @@ def _detect_interfaces(
     n = len(z) - 1
     if n < 1:
         return InterfaceHits.from_hits([])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_hat = inc[1:] / inc[:-1]
-        r_hat = refl[:-1] / inc[:-1]
-    valid = np.abs(inc[:-1]) > 0.0
     best_res = np.full(n, np.inf)
     best_pair = np.full(n, -1, dtype=int)
-    for p_idx, (_, t_exp, r_exp) in enumerate(coeff_table):
-        rel_t = np.abs(t_hat - t_exp) / abs(t_exp)
-        rel_r = np.abs(r_hat - r_exp) / max(abs(r_exp), tol)
-        res = np.maximum(rel_t, rel_r)
-        res[~valid] = np.inf
-        better = (res <= tol) & (res < best_res)
-        best_res[better] = res[better]
-        best_pair[better] = p_idx
+    # a ratio or residual that overflows or divides by zero (a sample near the
+    # float range, a candidate whose t rounds to 0) is inf or nan: no hit
+    with np.errstate(all="ignore"):
+        t_hat = inc[1:] / inc[:-1]
+        r_hat = refl[:-1] / inc[:-1]
+        valid = np.abs(inc[:-1]) > 0.0
+        for p_idx, (_, t_exp, r_exp) in enumerate(coeff_table):
+            rel_t = np.abs(t_hat - t_exp) / abs(t_exp)
+            rel_r = np.abs(r_hat - r_exp) / max(abs(r_exp), tol)
+            res = np.maximum(rel_t, rel_r)
+            res[~valid] = np.inf
+            better = (res <= tol) & (res < best_res)
+            best_res[better] = res[better]
+            best_pair[better] = p_idx
 
     flagged = best_pair >= 0
     firsts = np.flatnonzero(flagged & ~np.concatenate(([False], flagged[:-1])))
@@ -491,7 +501,8 @@ def _levenberg_marquardt(residuals, p0, delta, stall_floor, budget=FIT_BUDGET):
       "stalled"    STALL_STEPS accepted steps in a row each lowered |r|^2 by
                    less than STALL_GAIN of itself, with |r|^2 still above
                    stall_floor;
-      "budget"     the evaluations ran out first.
+      "budget"     the evaluations ran out first;
+      "overflow"   |r|^2 or the Jacobian's products are not finite.
     """
     p = np.asarray(p0, dtype=float)
     r = residuals(p[None])[0]
@@ -506,6 +517,8 @@ def _levenberg_marquardt(residuals, p0, delta, stall_floor, budget=FIT_BUDGET):
             jac = np.column_stack([(row - r) / d for row, d in zip(rows, delta)])
             evals += len(p)
             jtj, grad = jac.T @ jac, jac.T @ r
+            if not (math.isfinite(f) and np.isfinite(jtj).all() and np.isfinite(grad).all()):
+                return p, r, evals, "overflow"
             scale = np.diag(np.diag(jtj))
         step = np.linalg.lstsq(jtj + lam * scale, -grad, rcond=None)[0]
         trial = p + step
@@ -575,14 +588,16 @@ def detect_vertex_coupled_mode(
     evaluations.  A vertex needs both residual <= tol and
     max(|kappa12|, |kappa21|) >= kappa_min on non-degenerate traces.
     `params`: the fit (beta1, beta2, kappa12, kappa21), evaluations, stop
-    and window_samples; empty for traces that vanish at the window start or
-    hold non-finite samples.  stop is one of
+    and window_samples; empty for traces that vanish or overflow at the window
+    start or hold non-finite samples.  stop is one of
       "converged"  the last proposed step was negligible;
       "stalled"    STALL_STEPS accepted steps in a row each lowered the
                    squared residual by less than STALL_GAIN of itself,
                    with the residual still above STALL_FACTOR * tol: a
                    reject, ended early;
-      "budget"     the FIT_BUDGET evaluations ran out.
+      "budget"     the FIT_BUDGET evaluations ran out;
+      "overflow"   the squared residual or the Jacobian overflowed (samples
+                   near the float range): the fit stops where it is.
     """
     za, a = _window_tail(trace_a, corner_window)
     zb, b = _window_tail(trace_b, corner_window)
@@ -594,9 +609,10 @@ def detect_vertex_coupled_mode(
         raise ValueError("traces must share the corner-window z grid")
     z = za - za[0]
 
-    norm0 = math.sqrt(abs(a[0]) ** 2 + abs(b[0]) ** 2)
+    with np.errstate(over="ignore"):
+        norm0 = math.sqrt(abs(a[0]) ** 2 + abs(b[0]) ** 2)
     position = trace_a.ray.point_at(trace_a.ray.length)
-    if norm0 == 0.0 or not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if norm0 in (0.0, math.inf) or not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         return VertexVerdict(False, "coupled_mode", math.inf, position, {}, True)
     a = a / norm0
     b = b / norm0
@@ -623,8 +639,9 @@ def detect_vertex_coupled_mode(
     p0 = _closed_form_start(a, b, h)
     delta = [1.5e-8 * max(abs(v), 1.0 / float(z[-1])) for v in p0]
     stall_floor = (STALL_FACTOR * tol) ** 2 * (2.0 * n)
-    fitted, r, evals, stop = _levenberg_marquardt(residuals, p0, delta, stall_floor)
-    residual = math.sqrt(float(r @ r) / (2.0 * n))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow stops the fit as "overflow"
+        fitted, r, evals, stop = _levenberg_marquardt(residuals, p0, delta, stall_floor)
+        residual = math.sqrt(float(r @ r) / (2.0 * n))
     kappa_mag = max(abs(fitted[2]), abs(fitted[3]))
     return VertexVerdict(
         is_vertex=bool(residual <= tol and kappa_mag >= kappa_min and not degenerate),

@@ -6,12 +6,13 @@ with sorted keys, so identical inputs produce byte-identical files.  The
 sidecar (path + ".meta.json") carries everything the CSV cannot: ray
 geometry, wave kind, seed, tolerances, and variant flags.
 
-Trace bodies move in bulk with the bytes unchanged: the writer renders each
-ray's rows through one `%`-format row template and a single join, and the
-reader parses the whole body in one `np.loadtxt` pass.  Medium ids follow
-CSV quoting and are rendered or parsed once per distinct value.  Interface
-rows of a report are rendered the same way, from the columns of an
-InterfaceHits.
+Every body row, of a trace or of a report, goes through one row writer:
+`_write_rows` renders numpy columns through a `%`-format row template,
+_ROWS_PER_WRITE rows per write, so the Python floats and row strings alive
+at once stay a few MB however long a ray or report is.  The reader parses
+a trace body in one `np.loadtxt` pass.  Medium ids and vertex criteria
+follow CSV quoting; medium ids are rendered or parsed once per distinct
+value.
 """
 
 from __future__ import annotations
@@ -36,10 +37,13 @@ FORMAT_VERSION = 1
 # One interface row of a report; {position} becomes one %.17g per position
 # coordinate, joined by ';', and the criterion and degenerate fields are empty.
 _INTERFACE_ROW = "interface,%d,%.17g,{position},%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,,%.17g,\n"
+# One vertex row of a report: ray ids and position joined by ';', the
+# criterion as a CSV field, the residual and the degenerate flag.
+_VERTEX_ROW = "vertex,%s,,%s,,,,,,,%s,%.17g,%d\n"
 # One trace row: ray id, five floats, medium id (a CSV field, rendered once).
 _TRACE_ROW = ",%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
-# Interface rows rendered per write: bounds the Python floats and row strings
-# alive at once to a few MB however many hits a report holds.
+# Rows rendered per write: bounds the Python floats and row strings alive at
+# once to a few MB however many rows a ray or report holds.
 _ROWS_PER_WRITE = 4096
 _TRACE_DTYPE = np.dtype(
     [("ray", "i8")] + [(name, "f8") for name in TRACE_COLUMNS[1:6]] + [("medium", "O")]
@@ -96,17 +100,32 @@ def _read_sidecar(path, expected_kind: str) -> dict:
     return meta
 
 
+def _write_rows(fh, template: str, *columns: np.ndarray) -> None:
+    """Write `template % row` for each row of the equal-length 1-D columns,
+    converting and rendering _ROWS_PER_WRITE rows per write."""
+    for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
+        chunk = [column[start:start + _ROWS_PER_WRITE].tolist() for column in columns]
+        fh.write("".join(map(template.__mod__, zip(*chunk))))
+
+
 def write_traces(path, traces, extra_meta: dict | None = None) -> None:
     """Write FieldTraces ordered by ray id, plus the sidecar.
 
-    An empty trace list is allowed when extra_meta supplies the wave_kind
-    (the header-only CSV still round-trips).
+    extra_meta adds sidecar keys; it may not replace kind, version, columns
+    or rays, nor give a wave_kind other than the traces'.  An empty trace
+    list is allowed when extra_meta supplies the wave_kind (the header-only
+    CSV still round-trips).
     """
+    extra_meta = extra_meta or {}
+    if {"kind", "version", "columns", "rays"} & extra_meta.keys():
+        raise ValueError("extra_meta may not replace the sidecar's kind, version, columns or rays")
     traces = sorted(traces, key=lambda tr: tr.ray_id)
     kinds = {tr.wave_kind for tr in traces}
+    if "wave_kind" in extra_meta:
+        kinds.add(extra_meta["wave_kind"])
     if len(kinds) > 1:
-        raise ValueError(f"traces mix wave kinds {sorted(kinds)}")
-    wave_kind = kinds.pop() if kinds else (extra_meta or {}).get("wave_kind")
+        raise ValueError(f"traces and extra_meta mix wave kinds {sorted(kinds, key=str)}")
+    wave_kind = kinds.pop() if kinds else None
     if wave_kind not in ("em", "acoustic"):
         raise ValueError(
             "wave_kind must be 'em' or 'acoustic'; an empty trace list needs "
@@ -116,16 +135,11 @@ def write_traces(path, traces, extra_meta: dict | None = None) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         for tr in traces:
-            rows = zip(
-                tr.z.tolist(),
-                tr.incident.real.tolist(),
-                tr.incident.imag.tolist(),
-                tr.reflected.real.tolist(),
-                tr.reflected.imag.tolist(),
-                map(medium.__getitem__, tr.medium_ids),
+            _write_rows(
+                fh, str(tr.ray_id) + _TRACE_ROW, tr.z, tr.incident.real, tr.incident.imag,
+                tr.reflected.real, tr.reflected.imag,
+                np.array([medium[m] for m in tr.medium_ids], dtype=object),
             )
-            row = str(tr.ray_id) + _TRACE_ROW
-            fh.write("".join(map(row.__mod__, rows)))
     meta = {
         "kind": "traces",
         "version": FORMAT_VERSION,
@@ -141,7 +155,7 @@ def write_traces(path, traces, extra_meta: dict | None = None) -> None:
             for tr in traces
         },
     }
-    meta.update(extra_meta or {})
+    meta.update(extra_meta)
     _write_sidecar(path, meta)
 
 
@@ -215,24 +229,6 @@ def _parse_medium_id(text: str):
         return text
 
 
-def _interface_rows(hits: InterfaceHits) -> str:
-    """The report rows of interface hits, rendered from their columns
-    through one row template with a field per position coordinate."""
-    row = _INTERFACE_ROW.format(position=";".join(["%.17g"] * hits.position.shape[1]))
-    rows = zip(
-        hits.ray_id.tolist(),
-        hits.z.tolist(),
-        *hits.position.T.tolist(),
-        hits.t.real.tolist(),
-        hits.t.imag.tolist(),
-        hits.r.real.tolist(),
-        hits.r.imag.tolist(),
-        *hits.pair.T.tolist(),
-        hits.residual.tolist(),
-    )
-    return "".join(map(row.__mod__, rows))
-
-
 def _join_position(position) -> str:
     if position is None:
         return ""
@@ -248,27 +244,23 @@ def _split_position(text: str):
 def write_report(path, report: DetectionReport) -> None:
     """Write a detection report plus its sidecar (tolerances, seed, and
     variant flags ride in report.params_used)."""
+    hits = report.interface_hits
+    if not isinstance(hits, InterfaceHits):
+        hits = InterfaceHits.from_hits(hits)
+    # one object column per field of _VERTEX_ROW, also when there are no rows
+    vertex = np.array([
+        (";".join(map(str, v.ray_ids)), _join_position(v.position), _csv_field(v.criterion),
+         v.residual, v.degenerate)
+        for v in report.vertex_hits
+    ], dtype=object).reshape(-1, 5).T
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(REPORT_COLUMNS)
-        hits = report.interface_hits
-        if not isinstance(hits, InterfaceHits):
-            hits = InterfaceHits.from_hits(hits)
-        for start in range(0, len(hits), _ROWS_PER_WRITE):
-            fh.write(_interface_rows(hits[start:start + _ROWS_PER_WRITE]))
-        for v in report.vertex_hits:
-            w.writerow(
-                [
-                    "vertex",
-                    ";".join(str(i) for i in v.ray_ids),
-                    "",
-                    _join_position(v.position),
-                    "", "", "", "", "", "",
-                    v.criterion,
-                    fmt_float(v.residual),
-                    "1" if v.degenerate else "0",
-                ]
-            )
+        fh.write(",".join(REPORT_COLUMNS) + "\n")
+        position = ";".join(["%.17g"] * hits.position.shape[1])
+        _write_rows(
+            fh, _INTERFACE_ROW.format(position=position), hits.ray_id, hits.z, *hits.position.T,
+            hits.t.real, hits.t.imag, hits.r.real, hits.r.imag, *hits.pair.T, hits.residual,
+        )
+        _write_rows(fh, _VERTEX_ROW, *vertex)
     meta = {
         "kind": "report",
         "version": FORMAT_VERSION,

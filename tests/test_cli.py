@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from polywave import cli, detect, traceio
+from polywave import scenario as sc
 from polywave.coupled_mode import (
     CascadeSpec,
     CouplerStage,
@@ -287,6 +288,96 @@ def test_non_positive_candidate_exit_2(command, entry, tmp_path, capsys):
     assert f"candidates: bad entry {entry!r}: expected two numbers > 0" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def readme_config(tmp_path, old="", new=""):
+    """The README config with one edit, written to a file; returns (path, text)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert text.count(old) >= 1
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(text.replace(old, new, 1))
+    return cfg, text
+
+
+@pytest.mark.parametrize("step, steps", [("1e-12", "9.99e+11"), ("1e-320", "inf")])
+def test_ray_of_too_many_samples_exit_2(step, steps, tmp_path, capsys, monkeypatch):
+    """A grid_step that puts more than MAX_RAY_STEPS steps on a ray is a config
+    error at the ray's line, raised before synthesis allocates a sample."""
+    def never(*args, **kwargs):
+        raise AssertionError("synthesis ran")
+
+    monkeypatch.setattr(sc, "synthesize_ray_trace", never)
+    cfg, text = readme_config(tmp_path, "grid_step=0.001", f"grid_step={step}")  # ray.0
+    line = text[:text.index("ray.0 =")].count("\n") + 1
+    code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"config error: line {line}, col 8: ray.0: length / grid_step must be <= "
+        f"{detect.MAX_RAY_STEPS}, got {steps}\n"
+    )
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("step", [1e-12, 1e-320])
+def test_sidecar_ray_of_too_many_samples_exit_4(step, tmp_path, capsys):
+    cfg, _ = readme_config(tmp_path)
+    traces = tmp_path / "traces.csv"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(traces)]) == 0
+    meta = json.loads(sidecar_path(traces).read_text())
+    meta["rays"]["1"]["grid_step"] = step
+    sidecar_path(traces).write_text(json.dumps(meta))
+    capsys.readouterr()
+    code = cli.main(["detect", "--config", str(cfg), "--traces", str(traces),
+                     "--out", str(tmp_path / "r.csv")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("schema error: garbled sidecar geometry of ray 1: length / grid_step")
+    assert "Traceback" not in err
+
+
+def test_candidate_whose_t_rounds_to_zero_matches_nothing_quietly(tmp_path, capsys):
+    """n1 = 1e-320 against n2 = 1.5 gives t = 1 + r = 0: the ratio scan skips
+    it instead of dividing by zero, and the verdicts stay those of the
+    config without it."""
+    outputs = []
+    for old, new in [("", ""), ("candidates = ", "candidates = 1e-320,1.5 | ")]:
+        cfg, _ = readme_config(tmp_path, old, new)
+        traces = tmp_path / "traces.csv"
+        assert cli.main(["simulate", "--config", str(cfg), "--noise", "0",
+                         "--out", str(traces)]) == 0
+        assert cli.main(["detect", "--config", str(cfg), "--traces", str(traces),
+                         "--out", str(tmp_path / "r.csv")]) == 0
+        outputs.append((capsys.readouterr(), (tmp_path / "r.csv").read_bytes()))
+    (plain, report), (edited, edited_report) = outputs
+    assert edited.out == plain.out == "interface_hits=2 vertex_hits=0\n"
+    assert edited.err == plain.err == f"wrote 2 trace(s) to {traces}\n"
+    assert edited_report == report
+
+
+@pytest.mark.parametrize("value", ["1e308", "-1e308"])
+@pytest.mark.parametrize("row", [1, 500, 1000])
+def test_trace_value_near_the_float_range_is_a_quiet_reject(value, row, tmp_path, capsys):
+    """A sample of 1e308 in ray 0 overflows the ratio scan and the coupled-mode
+    fit (at row 1 its normalization, at row 1000 the fit's Jacobian, which
+    used to end in exit 5): no hit there and a rejected vertex, with nothing
+    on stderr."""
+    cfg, _ = readme_config(tmp_path)
+    traces = tmp_path / "traces.csv"
+    assert cli.main(["simulate", "--config", str(cfg), "--noise", "0", "--out", str(traces)]) == 0
+    lines = traces.read_text().splitlines(keepends=True)
+    fields = lines[row].split(",")
+    assert fields[0] == "0"
+    fields[2] = value
+    lines[row] = ",".join(fields)
+    traces.write_text("".join(lines))
+    capsys.readouterr()
+    code = cli.main(["detect", "--config", str(cfg), "--traces", str(traces),
+                     "--out", str(tmp_path / "r.csv")])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out.endswith(" vertex_hits=0\n")
 
 
 @pytest.mark.parametrize("argv, config, stderr", [

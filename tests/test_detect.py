@@ -23,6 +23,7 @@ from polywave.coupled_mode import (
 )
 from polywave.detect import (
     FIT_BUDGET,
+    MAX_RAY_STEPS,
     STALL_FACTOR,
     DetectionReport,
     FieldTrace,
@@ -306,6 +307,13 @@ def test_ray_validation():
         Ray(origin=(0.0, 0.0), direction=(1.0,), length=1.0, grid_step=0.1)
 
 
+@pytest.mark.parametrize("length, step", [(1.0, 1e-12), (1.0, 1e-320), (1e6 + 1, 1.0)])
+def test_ray_of_more_than_max_steps_rejected(length, step):
+    with pytest.raises(ValueError, match=f"length / grid_step must be <= {MAX_RAY_STEPS}"):
+        Ray(origin=(0.0,), direction=(1.0,), length=length, grid_step=step)
+    assert Ray(origin=(0.0,), direction=(1.0,), length=1e6, grid_step=1.0).length == MAX_RAY_STEPS
+
+
 # ---------------------------------------------------------------------------
 # interface detection
 
@@ -404,6 +412,14 @@ def test_noise_monotonicity_of_false_positives():
             count += len(detect_interfaces_em(tr, [(1.0, 1.0001)], tol=0.05))
         totals.append(count)
     assert totals[0] <= totals[1] <= totals[2]
+
+
+def test_candidate_whose_t_rounds_to_zero_never_matches():
+    """n1 = 1e-320 into 1.5 gives t = 1 + r = 0.0: skipped, not divided by."""
+    trace = synthesize_ray_trace(rod_complex(), ROD_MEDIA, ROD_RAY, noise_sigma=0.0, seed=0)
+    hits = detect_interfaces_em(trace, ROD_CANDIDATES, tol=1e-6)
+    assert detect_interfaces_em(trace, [(1e-320, 1.5)] + ROD_CANDIDATES, tol=1e-6) == hits
+    assert len(detect_interfaces_em(trace, [(1e-320, 1.5)], tol=1e-6)) == 0
 
 
 def test_short_trace_no_hits():
@@ -736,6 +752,22 @@ def test_non_finite_samples_rejected_without_fit():
     v = detect_vertex_coupled_mode(ta, tb, corner_window=2.0, tol=1e-6)
     assert not v.is_vertex
     assert v.degenerate
+
+
+@pytest.mark.parametrize("index", [0, 10, 20])
+def test_coupled_fit_of_a_sample_near_the_float_range_is_a_reject(index):
+    """A sample of 1e308 overflows |r|^2: a reject whose fit stops as
+    "overflow", or, as the first sample, one rejected before any fit."""
+    p = CoupledModeParams(beta1=2.0, beta2=2.0, kappa12=0.7, kappa21=0.7)
+    ta, tb = coupled_traces(p)
+    ta.incident[index] = 1e308
+    v = detect_vertex_coupled_mode(ta, tb, corner_window=None, tol=1e-6)
+    assert not v.is_vertex
+    assert v.residual == math.inf
+    if index == 0:
+        assert v.params == {} and v.degenerate
+    else:
+        assert v.params["stop"] == "overflow" and v.params["evaluations"] <= 5
 
 
 def test_window_too_small():

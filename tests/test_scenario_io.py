@@ -1,6 +1,8 @@
 """Scenario config parsing and trace/report file round trips."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import re
@@ -36,6 +38,7 @@ from polywave.scenario import (
 )
 from polywave.traceio import (
     SchemaMismatch,
+    fmt_float,
     read_report,
     read_traces,
     sidecar_path,
@@ -568,6 +571,23 @@ def test_empty_trace_file(tmp_path):
         write_traces(tmp_path / "nokind.csv", [])
 
 
+@pytest.mark.parametrize("extra_meta", [
+    {"version": 2}, {"kind": "report"}, {"columns": ["z"]}, {"seed": 1, "rays": {}},
+])
+def test_extra_meta_may_not_replace_what_the_traces_say(extra_meta, tmp_path):
+    """A sidecar key the traces set, or a wave_kind they contradict, would
+    make the file read back as something else, or not at all."""
+    traces, _ = rod_traces()
+    for bad in (extra_meta, {"wave_kind": "acoustic"}):
+        with pytest.raises(ValueError, match="extra_meta"):
+            write_traces(tmp_path / "traces.csv", traces, extra_meta=bad)
+    with pytest.raises(ValueError, match="extra_meta"):
+        write_traces(tmp_path / "empty.csv", [], extra_meta={"wave_kind": "em", **extra_meta})
+    path = tmp_path / "ok.csv"
+    write_traces(path, traces, extra_meta={"wave_kind": "em", "seed": 1})
+    assert read_traces(path)[1]["seed"] == 1
+
+
 def test_mixed_wave_kinds_rejected(tmp_path):
     traces, _ = rod_traces()
     other = FieldTrace(
@@ -771,6 +791,31 @@ def test_trace_file_golden_bytes(tmp_path):
     )
 
 
+def test_trace_of_many_samples_matches_the_per_row_rendering(tmp_path):
+    """One ray of more samples than one write renders: every row, in order,
+    once, as csv.writer renders the fmt_float fields and the medium id."""
+    rng = np.random.default_rng(5)
+    k = 3 * 4096 + 5
+    values = rng.standard_normal((5, k)) * 10.0 ** rng.integers(-300, 300, (5, k))
+    values[:, ::97] = [[math.nan], [math.inf], [-0.0], [-math.inf], [1e-320]]
+    media = [0, 1, "a,b", 'x"y', "core", -3]
+    # (re, im) pairs viewed as complex: re + 1j*im would lose the sign of -0.0
+    incident, reflected = (
+        np.ascontiguousarray(values[i:i + 2].T).view(complex)[:, 0] for i in (1, 3)
+    )
+    trace = FieldTrace(
+        ray=UNIT_RAY, z=values[0], incident=incident, reflected=reflected,
+        medium_ids=tuple(media[i % 6] for i in range(k)), wave_kind="em", ray_id=7,
+    )
+    path = tmp_path / "traces.csv"
+    write_traces(path, [trace])
+    expected = io.StringIO()
+    rows = csv.writer(expected, lineterminator="\n")
+    for i in range(k):
+        rows.writerow([7, *(fmt_float(v) for v in values[:, i]), trace.medium_ids[i]])
+    assert path.read_text().split("\n", 1)[1] == expected.getvalue()
+
+
 # ---------------------------------------------------------------------------
 # report files
 
@@ -870,6 +915,25 @@ def test_report_golden_bytes_without_hits(tmp_path):
     meta = json.loads(sidecar_path(path).read_text())
     assert meta["counts"] == {"interface_hits": 0, "vertex_hits": 0}
     assert meta["params_used"] == {"tol": 0.05}
+
+
+def test_report_golden_bytes_quoted_criteria(tmp_path):
+    """Criteria quoted exactly as csv.writer quotes a field."""
+    path = tmp_path / "report.csv"
+    write_report(path, DetectionReport(vertex_hits=[
+        VertexHit((0.5,), "a,b", 1e-7, (0, 1)),
+        VertexHit(None, 'x"y', 0.0, (2,), degenerate=True),
+        VertexHit((1.0 / 3.0, -0.0), "two\nlines", math.inf, ()),
+        VertexHit((0.25,), "", 2.5e-300, (3, 4, 5)),
+    ]))
+    assert path.read_bytes() == HEADER + (
+        b'vertex,0;1,,0.5,,,,,,,"a,b",9.9999999999999995e-08,0\n'
+        b'vertex,2,,,,,,,,,"x""y",0,1\n'
+        b'vertex,,,0.33333333333333331;-0,,,,,,,"two\nlines",inf,0\n'
+        b"vertex,3;4;5,,0.25,,,,,,,,2.5e-300,0\n"
+    )
+    criteria = [v.criterion for v in read_report(path)[0].vertex_hits]
+    assert criteria == ["a,b", 'x"y', "two\nlines", ""]
 
 
 def test_report_rejects_hits_of_mixed_dimension(tmp_path):
