@@ -9,6 +9,7 @@ schema mismatch, 5 malformed coupler or command spec.
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 
 import numpy as np
@@ -32,39 +33,17 @@ def _fmt_c(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}j"
 
 
-def _override(args, flag: str, key: str):
-    """The value of --flag read by the converter of the [detection] key it
-    overrides, or None when the flag is absent."""
-    text = getattr(args, flag, None)
-    if text is None:
-        return None
-    try:
-        return sc.SECTIONS["detection"][1][key](text)
-    except ValueError as exc:
-        raise sc.ConfigParseError(f"--{flag}: {exc}") from None
+# [detection] key -> the dest of the command-line flag that replaces it
+FLAGS = {"seed": "seed", "noise_sigma": "noise", "tol": "tol", "paper_exact": "paper_exact"}
 
 
 def _load_scenario(args) -> sc.Scenario:
+    flags = {key: ("--" + dest.replace("_", "-"), getattr(args, dest))
+             for key, dest in FLAGS.items() if getattr(args, dest, None) is not None}
     try:
-        scenario = sc.load_scenario(args.config)
+        return sc.load_scenario(args.config, flags)
     except FileNotFoundError:
         raise sc.ConfigParseError(f"config file not found: {args.config}")
-    seed = _override(args, "seed", "seed")
-    if seed is not None:
-        scenario.seed = seed
-    noise = _override(args, "noise", "noise_sigma")
-    if noise is not None:
-        scenario.noise_sigma = noise
-    tol = _override(args, "tol", "tol")
-    if tol is not None:
-        scenario.tol = tol
-        for check in scenario.vertex_checks:
-            check.tol = tol
-    if getattr(args, "paper_exact", False):
-        if scenario.wave_kind == "em":
-            raise sc.ConfigParseError("--paper-exact: acoustic scenarios only (wave_kind is em)")
-        scenario.paper_exact = True
-    return scenario
 
 
 def cmd_simulate(args) -> int:
@@ -100,13 +79,37 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
+def _finite(text: str, convert=float):
+    """text read by convert (float or complex), or None unless that is a
+    finite number."""
+    try:
+        value = convert(text)
+    except ValueError:
+        return None
+    return value if cmath.isfinite(value) else None
+
+
+def _finite_flag(text: str) -> float:
+    """The type of a float flag: argparse exits 2 naming the flag unless its
+    value is a finite number."""
+    value = _finite(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _amplitude(text: str, flag: str) -> complex:
+    value = _finite(text, complex)
+    if value is None:
+        raise cm.MalformedSpec(f"bad {flag} amplitude {text!r}")
+    return value
+
+
 def _parse_stage(token: str):
     kind, _, rest = token.partition(":")
-    parts = rest.split(",") if rest else []
-    try:
-        values = [float(p) for p in parts]
-    except ValueError:
-        raise cm.MalformedSpec(f"bad stage token {token!r}") from None
+    values = [_finite(p) for p in rest.split(",")] if rest else []
+    if None in values:
+        raise cm.MalformedSpec(f"bad stage token {token!r}")
     if kind == "c" and len(values) == 2:
         return cm.CouplerStage(kappa=values[0], length=values[1])
     if kind == "d" and len(values) == 3:
@@ -121,10 +124,7 @@ def cmd_coupler(args) -> int:
         raise cm.MalformedSpec("no stages given")
     spec = cm.CascadeSpec(tuple(_parse_stage(t) for t in args.stage))
     total = cm.cascade_transfer(spec)
-    try:
-        x = np.array([complex(p) for p in args.input.split(",")], dtype=complex)
-    except ValueError:
-        raise cm.MalformedSpec(f"bad --input {args.input!r}") from None
+    x = np.array([_amplitude(p, "--input") for p in args.input.split(",")], dtype=complex)
     if x.shape != (2,):
         raise cm.MalformedSpec("--input needs exactly two comma-separated amplitudes")
     y = total @ x
@@ -141,6 +141,8 @@ def cmd_coupler(args) -> int:
 def cmd_slab_modes(args) -> int:
     if (args.k0 is None) == (args.wavelength is None):
         raise ValueError("give exactly one of --k0 or --wavelength")
+    if args.wavelength is not None and args.wavelength <= 0:
+        raise ValueError(f"wavelength must be > 0, got {args.wavelength}")
     k0 = args.k0 if args.k0 is not None else 2.0 * np.pi / args.wavelength
     slab = SlabSpec(n_core=args.core, n_clad=args.clad, thickness=args.thickness, k0=k0)
     modes = solve_te_slab_modes(slab, max_modes=args.max_modes)
@@ -159,9 +161,9 @@ def cmd_fwm(args) -> int:
         omega_s=args.omega_s,
         k_s=args.k_s,
         chi3_eff=args.chi3,
-        e1=complex(args.e1),
-        e2=complex(args.e2),
-        e3=complex(args.e3),
+        e1=_amplitude(args.e1, "--e1"),
+        e2=_amplitude(args.e2, "--e2"),
+        e3=_amplitude(args.e3, "--e3"),
         delta_k_z=args.delta_k,
     )
     samples = fwm_mod.integrate_signal(params, args.z_max, args.step)
@@ -196,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--tol", default=None, help="override config tolerance")
-    p.add_argument("--paper-exact", action="store_true", dest="paper_exact",
+    p.add_argument("--paper-exact", action="store_const", const="true", dest="paper_exact",
                    help="match acoustic candidates with the as-published transmittance")
     p.set_defaults(func=cmd_detect)
 
@@ -206,24 +208,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coupler)
 
     p = sub.add_parser("slab-modes", help="guided TE modes of a symmetric slab")
-    p.add_argument("--core", type=float, required=True)
-    p.add_argument("--clad", type=float, required=True)
-    p.add_argument("--thickness", type=float, required=True)
-    p.add_argument("--k0", type=float, default=None)
-    p.add_argument("--wavelength", type=float, default=None)
+    p.add_argument("--core", type=_finite_flag, required=True)
+    p.add_argument("--clad", type=_finite_flag, required=True)
+    p.add_argument("--thickness", type=_finite_flag, required=True)
+    p.add_argument("--k0", type=_finite_flag, default=None)
+    p.add_argument("--wavelength", type=_finite_flag, default=None)
     p.add_argument("--max-modes", type=int, default=64)
     p.set_defaults(func=cmd_slab_modes)
 
     p = sub.add_parser("fwm", help="four-wave-mixing signal growth")
-    p.add_argument("--omega-s", type=float, required=True, dest="omega_s")
-    p.add_argument("--k-s", type=float, required=True, dest="k_s")
-    p.add_argument("--chi3", type=float, required=True)
+    p.add_argument("--omega-s", type=_finite_flag, required=True, dest="omega_s")
+    p.add_argument("--k-s", type=_finite_flag, required=True, dest="k_s")
+    p.add_argument("--chi3", type=_finite_flag, required=True)
     p.add_argument("--e1", default="1")
     p.add_argument("--e2", default="1")
     p.add_argument("--e3", default="1")
-    p.add_argument("--delta-k", type=float, default=0.0, dest="delta_k")
-    p.add_argument("--z-max", type=float, required=True, dest="z_max")
-    p.add_argument("--step", type=float, required=True)
+    p.add_argument("--delta-k", type=_finite_flag, default=0.0, dest="delta_k")
+    p.add_argument("--z-max", type=_finite_flag, required=True, dest="z_max")
+    p.add_argument("--step", type=_finite_flag, required=True)
     p.add_argument("--closed-form", action="store_true", dest="closed_form")
     p.set_defaults(func=cmd_fwm)
     return parser

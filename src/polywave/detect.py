@@ -688,7 +688,10 @@ def detect_vertex_cascade(
     fitted in closed form so that T_c(theta_j) . D_j maps s_j to s_{j+1},
     with D_j the delay before it (none before the first).  The verdict
     takes the worst of the m-1 per-stage relative prediction errors and the
-    composite transfer error of the whole cascade, all scale-invariant.
+    composite transfer error of the whole cascade, all scale-invariant; an
+    error that overflows makes the residual inf.  Endpoints that are not
+    finite, or a first state of norm 0 or inf, give a degenerate reject
+    with empty params.
     """
     traces = list(traces)
     m = len(traces)
@@ -703,26 +706,31 @@ def detect_vertex_cascade(
     delay_mats = [_cm.delay_matrix(d.beta, d.length1, d.length2) for d in delays]
 
     states = [np.array([tr.incident[0], tr.incident[-1]], dtype=complex) for tr in traces]
-    scale = float(np.linalg.norm(states[0]))
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(states[0]))
     ray_ids = tuple(tr.ray_id for tr in traces)
-    if scale == 0.0:
+    if scale in (0.0, math.inf) or not np.all(np.isfinite(states)):
         return VertexVerdict(False, "cascade", math.inf, vertex_candidate, {}, True)
-    states = [s / scale for s in states]
 
     thetas, errors, stages = [], [], []
-    for j in range(m - 1):
-        s, target = states[j], states[j + 1]
-        theta = _fit_coupler_angle(delay_mats[j - 1] @ s if j else s, target)
-        transition = _cm.coupler_matrix(theta, 1.0)
-        if j:
-            transition = transition @ delay_mats[j - 1]
-            stages.append(delays[j - 1])
-        thetas.append(theta)
-        stages.append(_cm.CouplerStage(kappa=theta, length=1.0))
-        errors.append(_relative_error(transition @ s, target))
-    total = _cm.cascade_transfer(_cm.CascadeSpec(tuple(stages)))
-    composite = _relative_error(total @ states[0], states[-1])
-    residual = max(errors + [composite])
+    # a state far from the first one's scale overflows, and an error with it
+    # to inf or nan: the residual is then inf, a reject
+    with np.errstate(all="ignore"):
+        states = [s / scale for s in states]
+        for j in range(m - 1):
+            s, target = states[j], states[j + 1]
+            theta = _fit_coupler_angle(delay_mats[j - 1] @ s if j else s, target)
+            transition = _cm.coupler_matrix(theta, 1.0)
+            if j:
+                transition = transition @ delay_mats[j - 1]
+                stages.append(delays[j - 1])
+            thetas.append(theta)
+            stages.append(_cm.CouplerStage(kappa=theta, length=1.0))
+            errors.append(_relative_error(transition @ s, target))
+        total = _cm.cascade_transfer(_cm.CascadeSpec(tuple(stages)))
+        composite = _relative_error(total @ states[0], states[-1])
+    worst = errors + [composite]
+    residual = max(worst) if all(map(math.isfinite, worst)) else math.inf
     return VertexVerdict(
         is_vertex=bool(residual <= tol),
         criterion="cascade",
@@ -755,18 +763,24 @@ def detect_vertex_fwm(
     criterion itself is a log-linear least-squares fit (the gain is a fit
     parameter, never derived from chi3).  A fit whose amplitude change over
     the window is below float noise (|g_s|*span < 1e-9) is flagged
-    degenerate.
+    degenerate.  A window holding a zero or non-finite amplitude has no log
+    to fit: a degenerate reject with empty params.
     """
     _require_kind(trace, "em")
     z, inc = _window_tail(trace, window)
-    fit = fit_gain(list(zip(z, np.abs(inc))))
+    with np.errstate(over="ignore"):
+        amplitudes = np.abs(inc)
+    position = trace.ray.point_at(trace.ray.length)
+    if not np.all((amplitudes > 0.0) & np.isfinite(amplitudes)):  # no log to fit
+        return VertexVerdict(False, "fwm", math.inf, position, {}, True)
+    fit = fit_gain(list(zip(z, amplitudes)))
     span = float(z[-1] - z[0])
     degenerate = abs(fit.model.g_s) * span < 1e-9
     return VertexVerdict(
         is_vertex=bool(fit.residual <= tol),
         criterion="fwm",
         residual=float(fit.residual),
-        position=trace.ray.point_at(trace.ray.length),
+        position=position,
         params={
             "g_s": fit.model.g_s,
             "e_s0": abs(fit.model.e_s0),

@@ -23,6 +23,9 @@ from .coupled_mode import NonPositiveStep
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 MU0_EPS0 = 1.0 / SPEED_OF_LIGHT**2
+# integrate_signal takes at most this many grid steps, the bound of a ray
+# (detect.MAX_RAY_STEPS); a finer grid is refused before it is allocated
+MAX_SIGNAL_STEPS = 1_000_000
 
 
 class ZeroMismatch(ValueError):
@@ -72,7 +75,10 @@ def integrate_signal(p: FwmParams, z_max: float, step: float) -> list[tuple[floa
         raise NonPositiveStep(f"step must be > 0, got {step}")
     if z_max < step:
         raise ValueError(f"z_max ({z_max}) must be >= step ({step})")
-    n_full = int(np.floor(z_max / step + 1e-12))
+    steps = z_max / step
+    if not steps <= MAX_SIGNAL_STEPS:  # also a NaN
+        raise ValueError(f"z_max / step must be <= {MAX_SIGNAL_STEPS}, got {steps:.6g}")
+    n_full = int(np.floor(steps + 1e-12))
     zs = [i * step for i in range(n_full + 1)]
     if z_max - zs[-1] > 1e-12 * z_max:
         zs.append(z_max)

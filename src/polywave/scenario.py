@@ -106,7 +106,7 @@ def parse_blocks(text: str) -> dict:
     return sections
 
 
-@dataclass
+@dataclass(frozen=True)
 class VertexCheck:
     criterion: str
     ray_ids: tuple[int, ...]
@@ -118,7 +118,7 @@ class VertexCheck:
     pumps: tuple = (1.0, 1.0, 1.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     complex: SimplicialComplex
     wave_kind: str
@@ -389,7 +389,11 @@ def _build(cls, fields: dict, entry, what: str):
         _fail(entry, f"{what}: {exc}")
 
 
-def load_scenario_text(text: str) -> Scenario:
+def load_scenario_text(text: str, flags=None) -> Scenario:
+    """`flags` maps a [detection] key to the (flag, text) that replaces it,
+    e.g. {"seed": ("--seed", "8")}, read by the key's converter; the rules
+    that span settings run once, on the merged values."""
+    flags = flags or {}
     sections = parse_blocks(text)
     for name, section in sections.items():
         if name not in SECTIONS:
@@ -421,11 +425,31 @@ def load_scenario_text(text: str) -> Scenario:
         rays.append(_build(Ray, fields, entry, key))
 
     detection, _, _ = _section(sections, "detection")
-    if detection.get("paper_exact") and media_keys["wave_kind"] == "em":
-        message = "paper_exact: acoustic scenarios only (wave_kind is em)"
-        _fail(sections["detection"]["paper_exact"], message)
-    scenario = Scenario(complex=cpx, media=media, rays=rays, **media_keys, **detection)
+    configured = dict(detection)
+    for key, (flag, text) in flags.items():
+        try:
+            detection[key] = SECTIONS["detection"][1][key](text)
+        except ValueError as exc:
+            raise ConfigParseError(f"{flag}: {exc}") from None
+
+    def paper_exact_fail(at: str, message: str):
+        """At the line of the config's `at` key when the config set
+        paper_exact, else naming the flag that did."""
+        if not configured.get("paper_exact"):
+            raise ConfigParseError(f"{flags['paper_exact'][0]}: {message}")
+        _fail(sections["detection"][at], f"{at}: {message}")
+
+    if detection.get("paper_exact"):
+        if media_keys["wave_kind"] == "em":
+            paper_exact_fail("paper_exact", "acoustic scenarios only (wave_kind is em)")
+        for a, b in detection.get("candidates", []):
+            if a == b:  # the as-published transmittance divides by (Z2/Z1 - 1)^2
+                paper_exact_fail(
+                    "candidates", f"paper_exact needs two different impedances, got {a!r},{b!r}"
+                )
+    tol = detection.get("tol", Scenario.tol)
     _, check_entries, criteria = _section(sections, "vertices")
+    checks = []
     for key, entry in check_entries:
         given = _given(entry, key)
         if "criterion" not in given:
@@ -435,8 +459,10 @@ def load_scenario_text(text: str) -> Scenario:
         except ValueError as exc:
             _fail(entry, f"{key} criterion: {exc}")
         low, high, wanted, tokens = criteria[criterion]
-        fields = _tokens(entry, key, tokens, given)
-        check = VertexCheck(criterion, **{"tol": scenario.tol, **fields})
+        fields = {"tol": tol, **_tokens(entry, key, tokens, given)}
+        if "tol" in flags:  # --tol replaces every check's tol= too
+            fields["tol"] = tol
+        check = VertexCheck(criterion, **fields)
         absent = [r for r in check.ray_ids if not 0 <= r < len(rays)]
         if absent:
             _fail(entry, f"{key}: no ray {absent[0]}")
@@ -444,13 +470,15 @@ def load_scenario_text(text: str) -> Scenario:
             _fail(entry, f"{key}: {criterion} takes {wanted}, got {len(check.ray_ids)}")
         if check.position is not None and len(check.position) != cpx.dimension:
             _fail(entry, f"{key}: position must have {cpx.dimension} components")
-        scenario.vertex_checks.append(check)
-    return scenario
+        checks.append(check)
+    return Scenario(
+        complex=cpx, media=media, rays=rays, vertex_checks=checks, **media_keys, **detection
+    )
 
 
-def load_scenario(path) -> Scenario:
+def load_scenario(path, flags=None) -> Scenario:
     with open(path) as fh:
-        return load_scenario_text(fh.read())
+        return load_scenario_text(fh.read(), flags)
 
 
 def run_simulate(scenario: Scenario) -> list:

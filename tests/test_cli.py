@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from polywave import cli, detect, traceio
+from polywave import fwm as fwm_mod
 from polywave import scenario as sc
 from polywave.coupled_mode import (
     CascadeSpec,
@@ -266,6 +267,49 @@ def test_out_of_range_override_exit_2(argv, message, tmp_path, capsys):
     assert not out.exists()
 
 
+EQUAL_IMPEDANCE_CONFIG = """\
+[geometry]
+dimension = 1
+vertices = 0.0 | 0.5 | 1.0
+simplices = 0 1 | 1 2
+
+[media]
+wave_kind = acoustic
+medium.0 = z=1.5 c=1.0
+medium.1 = z=3.0 c=1.0
+
+[rays]
+ray.0 = origin=0.0005 direction=1 length=0.998 grid_step=0.001
+
+[detection]
+candidates = 1.5,3.0 | 2.0,2.0
+"""
+
+
+@pytest.mark.parametrize("command, set_by", [
+    ("simulate", "key"), ("detect", "key"), ("detect", "flag"), ("detect", "both"),
+])
+def test_paper_exact_with_an_equal_impedance_candidate_exit_2(command, set_by, tmp_path, capsys):
+    """The as-published transmittance divides by (Z2/Z1 - 1)^2, so a candidate
+    of equal impedances used to end detect in a PaperExactSingularity
+    traceback.  The config key is reported at the candidates line (the
+    config's value wins when the flag sets the same), the flag by its name."""
+    plain, cfg = tmp_path / "plain.cfg", tmp_path / "exact.cfg"
+    plain.write_text(EQUAL_IMPEDANCE_CONFIG)
+    keyed = EQUAL_IMPEDANCE_CONFIG.replace("[detection]\n", "[detection]\npaper_exact = true\n")
+    cfg.write_text(keyed if set_by != "flag" else EQUAL_IMPEDANCE_CONFIG)
+    traces, out = tmp_path / "traces.csv", tmp_path / "out.csv"
+    assert cli.main(["simulate", "--config", str(plain), "--out", str(traces)]) == 0
+    capsys.readouterr()
+    inputs = ["--traces", str(traces)] if command == "detect" else []
+    flag = ["--paper-exact"] if set_by != "key" else []
+    code = cli.main([command, "--config", str(cfg), *inputs, "--out", str(out), *flag])
+    where = "--paper-exact: " if set_by == "flag" else "line 16, col 13: candidates: "
+    message = "paper_exact needs two different impedances, got 2.0,2.0"
+    assert (code, capsys.readouterr().err) == (2, f"config error: {where}{message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "detect"])
 @pytest.mark.parametrize("entry", ["0,1.5", "-0,2.0", "1.0,-1"])
 def test_non_positive_candidate_exit_2(command, entry, tmp_path, capsys):
@@ -380,6 +424,74 @@ def test_trace_value_near_the_float_range_is_a_quiet_reject(value, row, tmp_path
     assert out.endswith(" vertex_hits=0\n")
 
 
+def vertex_files(tmp_path, check: str, series, length: float):
+    """A one-segment EM config whose ray i carries incident samples series[i]
+    on a uniform grid over [0, length], with one [vertices] check; writes the
+    config and the trace file and returns the paths (config, traces)."""
+    rays, traces = [], []
+    for i, values in enumerate(series):
+        z = np.linspace(0.0, length, len(values))
+        step = float(z[1])
+        ray = detect.Ray(origin=(0.0,), direction=(1.0,), length=length, grid_step=step)
+        rays.append(f"ray.{i} = origin=0 direction=1 length={length!r} grid_step={step!r}")
+        traces.append(detect.FieldTrace(
+            ray=ray, z=z, incident=np.asarray(values, dtype=complex),
+            reflected=np.zeros(len(z), dtype=complex), medium_ids=(0,) * len(z),
+            wave_kind="em", ray_id=i,
+        ))
+    cfg, path = tmp_path / "vertex.cfg", tmp_path / "vertex.csv"
+    cfg.write_text(
+        "[geometry]\ndimension = 1\nvertices = 0.0 | 2.0\nsimplices = 0 1\n\n"
+        "[media]\nwave_kind = em\nmedium.0 = n=1.0\n\n"
+        "[rays]\n" + "\n".join(rays) + f"\n\n[vertices]\ncheck.0 = {check}\n"
+    )
+    traceio.write_traces(path, traces, extra_meta={"wave_kind": "em"})
+    return cfg, path
+
+
+def edit_row(path, prefix: str, row: str):
+    """Replace the one trace row that starts with prefix."""
+    lines = path.read_text().splitlines(keepends=True)
+    [index] = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+    lines[index] = row + "\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("row", ["2,0,inf,0,0,0,0", "2,0,nan,0,0,0,0", "2,0,1e308,0,0,0,0"])
+def test_cascade_check_rejects_a_sample_it_cannot_fit(row, tmp_path, capsys):
+    """The golden cascade chain with a non-finite or overflowing first sample
+    in its last trace: detect used to print a RuntimeWarning, accept the
+    vertex and write a cascade row."""
+    states = [np.array([0.6 + 0.3j, 0.2 - 0.5j])]
+    for theta in (0.4, 1.1):
+        states.append(cascade_transfer(CascadeSpec((CouplerStage(theta, 1.0),))) @ states[-1])
+    cfg, traces = vertex_files(tmp_path, "criterion=cascade rays=0,1,2", states, 1.0)
+    report = tmp_path / "report.csv"
+    assert cli.main(["detect", "--config", str(cfg), "--traces", str(traces),
+                     "--out", str(report)]) == 0
+    assert capsys.readouterr() == ("interface_hits=0 vertex_hits=1\n", "")
+    edit_row(traces, "2,0,", row)
+    assert cli.main(["detect", "--config", str(cfg), "--traces", str(traces),
+                     "--out", str(report)]) == 0
+    assert capsys.readouterr() == ("interface_hits=0 vertex_hits=0\n", "")
+    assert read_report(report)[0].vertex_hits == []
+
+
+def test_fwm_check_rejects_a_zero_sample(tmp_path, capsys):
+    """A zero sample in an fwm check's trace used to leave fit_gain's
+    NonPositiveAmplitude as exit 5, a spec error for trace data."""
+    z = np.linspace(0.0, 2.0, 41)
+    cfg, traces = vertex_files(tmp_path, "criterion=fwm ray=0", [0.2 * np.exp(0.4 * z)], 2.0)
+    report = tmp_path / "report.csv"
+    assert cli.main(["detect", "--config", str(cfg), "--traces", str(traces),
+                     "--out", str(report)]) == 0
+    assert capsys.readouterr() == ("interface_hits=0 vertex_hits=1\n", "")
+    edit_row(traces, "0,%.17g," % z[10], "0,%.17g,0,0,0,0,0" % z[10])
+    assert cli.main(["detect", "--config", str(cfg), "--traces", str(traces),
+                     "--out", str(report)]) == 0
+    assert capsys.readouterr() == ("interface_hits=0 vertex_hits=0\n", "")
+
+
 @pytest.mark.parametrize("argv, config, stderr", [
     (["--seed", "-5"], ROD_CONFIG, "config error: --seed: expected an integer >= 0, got '-5'\n"),
     ([], None, "config error: config file not found: {config}\n"),
@@ -395,6 +507,29 @@ def test_config_error_without_a_config_line_gives_no_position(
     code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv"), *argv])
     assert code == 2
     assert capsys.readouterr().err == stderr.format(config=cfg)
+
+
+def test_tol_flag_replaces_every_check_tol(tmp_path):
+    """--tol replaces [detection] tol and the tol= of each check: the README's
+    check.0 says tol=1e-6 and runs at 0.01."""
+    cfg, _ = readme_config(tmp_path)
+    args = cli.build_parser().parse_args(
+        ["detect", "--config", str(cfg), "--traces", "t.csv", "--out", "r.csv", "--tol", "0.01"]
+    )
+    scenario = cli._load_scenario(args)
+    assert scenario.tol == 0.01
+    assert [check.tol for check in scenario.vertex_checks] == [0.01]
+    assert sc.load_scenario(cfg).vertex_checks[0].tol == 1e-6
+
+
+def test_bad_flag_is_reported_before_a_vertices_error(tmp_path, capsys):
+    """The loader reads the flags with [detection], so a bad flag comes
+    before an error in [vertices]."""
+    cfg, _ = readme_config(tmp_path, "rays=0,1 tol=1e-6", "rays=0,7 tol=1e-6")
+    code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
+                     "--seed", "-5"])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: --seed: expected an integer >= 0, got '-5'\n"
 
 
 def test_simulate_missing_config_exit_2(tmp_path, capsys):
@@ -746,6 +881,61 @@ def test_slab_modes_unguided_slab_is_empty_not_error(capsys):
     captured = capsys.readouterr()
     assert captured.out.splitlines() == ["# order parity beta kappa_t gamma residual"]
     assert "modes = 0" in captured.err
+
+
+SLAB = ["slab-modes", "--core", "1.5", "--clad", "1.0", "--thickness", "2e-6"]
+FWM = ["fwm", "--omega-s", "1", "--k-s", "1", "--chi3", "1"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (SLAB + ["--wavelength", "nan"], "--wavelength"),
+    (SLAB + ["--k0", "inf"], "--k0"),
+    (["slab-modes", "--core", "nan", "--clad", "1.0", "--thickness", "2e-6", "--k0", "1e6"],
+     "--core"),
+    (FWM + ["--z-max", "inf", "--step", "1"], "--z-max"),
+    (["fwm", "--omega-s", "nan", "--k-s", "1", "--chi3", "1", "--z-max", "1", "--step", "0.5"],
+     "--omega-s"),
+    (FWM + ["--delta-k=-inf", "--z-max", "1", "--step", "0.5"], "--delta-k"),
+])
+def test_non_finite_float_flag_exit_2(argv, flag, capsys):
+    """A float flag that is not a finite number fails in argparse, naming the
+    flag, as a non-number does: it used to print nan rows or a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: expected a finite number, got " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SLAB + ["--wavelength", "0"], "wavelength must be > 0, got 0.0"),
+    (["coupler", "c:inf,1"], "bad stage token 'c:inf,1'"),
+    (["coupler", "c:0.3,1", "d:1,nan,0", "c:0.3,1"], "bad stage token 'd:1,nan,0'"),
+    (["coupler", "c:0.3,1", "--input", "nan,0"], "bad --input amplitude 'nan'"),
+    (FWM + ["--e1", "nan", "--z-max", "1", "--step", "0.5"], "bad --e1 amplitude 'nan'"),
+    (FWM + ["--e3", "infj", "--z-max", "1", "--step", "0.5"], "bad --e3 amplitude 'infj'"),
+])
+def test_toolbox_input_that_cannot_be_computed_exit_5(argv, message, capsys):
+    """A zero wavelength used to divide by zero, and a non-finite stage or
+    amplitude token printed a nan matrix or nan powers."""
+    assert cli.main(argv) == 5
+    assert capsys.readouterr() == ("", f"spec error: {message}\n")
+
+
+@pytest.mark.parametrize("z_max, step, steps", [
+    ("1", "1e-12", "1e+12"), ("1e300", "1e-300", "inf"), ("2e6", "1", "2e+06"),
+])
+def test_fwm_grid_of_too_many_steps_exit_5(z_max, step, steps, capsys, monkeypatch):
+    """A grid of more than 1,000,000 steps is refused before it is built:
+    z_max / step = inf used to raise an OverflowError, and 1e12 steps would
+    build a list of 1e12 samples."""
+    def never(*args, **kwargs):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(fwm_mod.np, "floor", never)
+    assert cli.main(FWM + ["--z-max", z_max, "--step", step]) == 5
+    assert capsys.readouterr() == ("", f"spec error: z_max / step must be <= 1000000, got {steps}\n")
 
 
 # ---------------------------------------------------------------------------

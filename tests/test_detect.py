@@ -893,6 +893,50 @@ def test_zero_amplitude_cascade_degenerate():
     assert v.degenerate
 
 
+def golden_chain(thetas=(0.4, 1.1)):
+    """The endpoint states of the golden report's cascade chain."""
+    states = [np.array([0.6 + 0.3j, 0.2 - 0.5j])]
+    for th in thetas:
+        states.append(coupler_matrix(th, 1.0) @ states[-1])
+    return states
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+@pytest.mark.parametrize("thetas, bad", [((0.4, 1.1), 2), ((0.4, 1.1, 0.7), 2), ((0.4, 1.1), 0)])
+def test_cascade_non_finite_endpoint_is_a_degenerate_reject(value, thetas, bad):
+    """A non-finite endpoint used to leave one stage error nan, which max()
+    skipped, so the chain was accepted with a residual of 1.9e-16."""
+    states = golden_chain(thetas)
+    states[bad][0] = value
+    traces = [em_trace([0.0, 1.0], s, ray_id=j) for j, s in enumerate(states)]
+    v = detect_vertex_cascade(traces, tol=1e-6)
+    assert (v.is_vertex, v.residual, v.params, v.degenerate) == (False, math.inf, {}, True)
+
+
+@pytest.mark.parametrize("value", [1e160, 1e308, -1e308])
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_cascade_overflowing_endpoint_is_a_quiet_reject(value, bad):
+    """A huge finite endpoint overflows the first state's norm (a degenerate
+    reject with empty params, where a norm of inf used to scale every state
+    to 0 and accept) or an error (an infinite residual), without a numpy
+    warning."""
+    states = golden_chain()
+    states[bad][0] = value
+    traces = [em_trace([0.0, 1.0], s, ray_id=j) for j, s in enumerate(states)]
+    v = detect_vertex_cascade(traces, tol=1e-6)
+    assert not v.is_vertex
+    assert v.residual == math.inf
+    assert v.degenerate == (bad == 0) == (v.params == {})
+
+
+def test_cascade_state_that_overflows_when_scaled_is_a_quiet_reject():
+    # the first state's norm is 1.4e-150, so the second scales to 7e309
+    states = [np.array([1e-150, 1e-150]), np.array([1e160, 0.0]), np.array([1.0, 1.0])]
+    traces = [em_trace([0.0, 1.0], s, ray_id=j) for j, s in enumerate(states)]
+    v = detect_vertex_cascade(traces, tol=1e-6)
+    assert (v.is_vertex, v.residual, v.degenerate) == (False, math.inf, False)
+
+
 # ---------------------------------------------------------------------------
 # vertex detection: exponential gain
 
@@ -937,6 +981,19 @@ def test_fwm_window_restricts_fit():
     assert not full.is_vertex
     assert windowed.is_vertex
     assert windowed.params["g_s"] == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("value", [0.0, math.inf, math.nan])
+@pytest.mark.parametrize("index", [0, 20, 40])
+def test_fwm_sample_without_a_log_is_a_degenerate_reject(value, index):
+    """A zero sample used to raise NonPositiveAmplitude out of fit_gain (exit 5
+    for trace data) and a non-finite one gave a nan residual."""
+    z = np.linspace(0.0, 2.0, 41)
+    incident = np.array([degenerate_gain(GainModel(0.2 + 0j, 0.4), zz) for zz in z])
+    incident[index] = value
+    v = detect_vertex_fwm(em_trace(z, incident), 0.0, (1, 1, 1), tol=1e-6)
+    assert (v.is_vertex, v.residual, v.params, v.degenerate) == (False, math.inf, {}, True)
+    assert v.position == (2.0,)
 
 
 def test_fwm_wave_kind_enforced():

@@ -9,7 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polywave.coupled_mode import NonPositiveStep
+from polywave.detect import MAX_RAY_STEPS
 from polywave.fwm import (
+    MAX_SIGNAL_STEPS,
     MU0_EPS0,
     SPEED_OF_LIGHT,
     FwmParams,
@@ -74,6 +76,22 @@ def test_integrate_signal_grid():
         integrate_signal(params(), 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate_signal(params(), 0.1, 0.3)
+
+
+@pytest.mark.parametrize("z_max, step", [(1.0, 1e-12), (1e300, 1e-300), (math.inf, 1.0), (2e6, 1.0)])
+def test_integrate_signal_refuses_too_many_steps_before_building_the_grid(
+    z_max, step, monkeypatch
+):
+    """More than MAX_SIGNAL_STEPS steps, the bound of a ray, is a ValueError
+    before the grid is built: z_max / step = inf used to raise an
+    OverflowError, and 1e12 steps would build a list of 1e12 samples."""
+    def never(*args, **kwargs):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(np, "floor", never)
+    with pytest.raises(ValueError, match="z_max / step must be <= 1000000"):
+        integrate_signal(params(), z_max, step)
+    assert MAX_SIGNAL_STEPS == MAX_RAY_STEPS
 
 
 def test_closed_form_bracket_tends_to_one():

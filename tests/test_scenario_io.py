@@ -504,6 +504,35 @@ def test_run_simulate_and_detect_roundtrip():
     assert report.params_used["coefficient_variant"] == "energy_conserving"
 
 
+def test_loaded_scenario_is_frozen():
+    sc = load_scenario_text(ROD_CONFIG + "\n[vertices]\ncheck.0 = criterion=fwm ray=0\n")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.seed = 8
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.vertex_checks[0].tol = 0.01
+
+
+def test_flags_replace_detection_keys():
+    text = ROD_CONFIG + "\n[vertices]\ncheck.0 = criterion=fwm ray=0 tol=0.5\n"
+    flags = {"seed": ("--seed", "8"), "noise_sigma": ("--noise", "0.25"), "tol": ("--tol", "0.01")}
+    sc = load_scenario_text(text, flags)
+    assert (sc.seed, sc.noise_sigma, sc.tol, sc.vertex_checks[0].tol) == (8, 0.25, 0.01, 0.01)
+    assert load_scenario_text(text).vertex_checks[0].tol == 0.5
+    assert load_scenario_text(ACOUSTIC_CONFIG, {"paper_exact": ("--paper-exact", "true")}).paper_exact
+
+
+@pytest.mark.parametrize("flags, message", [
+    ({"seed": ("--seed", "-5")}, "--seed: expected an integer >= 0, got '-5'"),
+    ({"tol": ("--tol", "nan")}, "--tol: expected a finite number, got 'nan'"),
+    ({"paper_exact": ("--paper-exact", "true")},
+     "--paper-exact: acoustic scenarios only (wave_kind is em)"),
+])
+def test_bad_flag_is_a_config_error_without_a_line(flags, message):
+    with pytest.raises(ConfigParseError) as exc:
+        load_scenario_text(ROD_CONFIG, flags)
+    assert (str(exc.value), exc.value.line) == (message, None)
+
+
 def test_em_scenario_built_with_paper_exact_records_the_variant_it_uses():
     # EM detection never reads paper_exact, so a Scenario built in code with
     # it set records the energy-conserving coefficients it was detected with
