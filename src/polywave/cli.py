@@ -111,12 +111,17 @@ def _parse_stage(token: str):
     if None in values:
         raise cm.MalformedSpec(f"bad stage token {token!r}")
     if kind == "c" and len(values) == 2:
-        return cm.CouplerStage(kappa=values[0], length=values[1])
-    if kind == "d" and len(values) == 3:
-        return cm.DelayStage(beta=values[0], length1=values[1], length2=values[2])
-    raise cm.MalformedSpec(
-        f"bad stage token {token!r}; use c:KAPPA,L or d:BETA,L1,L2"
-    )
+        stage = cm.CouplerStage(kappa=values[0], length=values[1])
+    elif kind == "d" and len(values) == 3:
+        stage = cm.DelayStage(beta=values[0], length1=values[1], length2=values[2])
+    else:
+        raise cm.MalformedSpec(
+            f"bad stage token {token!r}; use c:KAPPA,L or d:BETA,L1,L2"
+        )
+    # its phases, KAPPA*L or BETA*L1 and BETA*L2, must be finite too
+    if not all(cmath.isfinite(values[0] * length) for length in values[1:]):
+        raise cm.MalformedSpec(f"bad stage token {token!r}: its phase overflows")
+    return stage
 
 
 def cmd_coupler(args) -> int:
@@ -127,14 +132,17 @@ def cmd_coupler(args) -> int:
     x = np.array([_amplitude(p, "--input") for p in args.input.split(",")], dtype=complex)
     if x.shape != (2,):
         raise cm.MalformedSpec("--input needs exactly two comma-separated amplitudes")
-    y = total @ x
+    with np.errstate(over="ignore"):
+        power = np.abs(total @ x) ** 2
+    if not np.isfinite(power).all():
+        raise cm.MalformedSpec(f"--input {args.input} overflows the output power")
     unit = float(np.max(np.abs(total.conj().T @ total - np.eye(2))))
     for i in range(2):
         for j in range(2):
             print(f"T{i}{j} = {_fmt_c(total[i, j])}")
     print(f"unitarity = {fmt_float(unit)}")
-    print(f"P1 = {fmt_float(abs(y[0]) ** 2)}")
-    print(f"P2 = {fmt_float(abs(y[1]) ** 2)}")
+    print(f"P1 = {fmt_float(power[0])}")
+    print(f"P2 = {fmt_float(power[1])}")
     return EXIT_OK
 
 

@@ -16,6 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# A fixed-step grid (integrate_coupled_modes, fwm.integrate_signal) takes at
+# most this many steps, the bound of a ray (detect.MAX_RAY_STEPS); a finer
+# grid is refused before it is allocated
+MAX_GRID_STEPS = 1_000_000
+
 
 class NonPositiveStep(ValueError):
     pass
@@ -59,6 +64,20 @@ def default_step(p: CoupledModeParams, z_max: float) -> float:
     return 1e-3 * 2.0 * np.pi / scale
 
 
+def check_grid(z_max: float, step: float) -> float:
+    """z_max / step for a grid from 0 to z_max of at most MAX_GRID_STEPS
+    steps of `step`; raises before anything is allocated otherwise (also for
+    a non-finite z_max or step)."""
+    if step <= 0.0:
+        raise NonPositiveStep(f"step must be > 0, got {step}")
+    if z_max < step:
+        raise ValueError(f"z_max ({z_max}) must be >= step ({step})")
+    steps = z_max / step
+    if not steps <= MAX_GRID_STEPS:  # also a NaN
+        raise ValueError(f"z_max / step must be <= {MAX_GRID_STEPS}, got {steps:.6g}")
+    return steps
+
+
 def rk4_step_matrix(gen, h: float) -> np.ndarray:
     """One classical RK4 step of dx/dz = -i gen x, as the matrix P with
     x(z + h) ~= P x(z).  `gen` is one (n, n) generator or a (k, n, n)
@@ -87,13 +106,9 @@ def integrate_coupled_modes(
     """
     if step is None:
         step = default_step(p, z_max)
-    if step <= 0.0:
-        raise NonPositiveStep(f"step must be > 0, got {step}")
-    if z_max < step:
-        raise ValueError(f"z_max ({z_max}) must be >= step ({step})")
+    n_full = int(np.floor(check_grid(z_max, step) + 1e-12))
 
     gen = np.array([[p.beta1 + p.kappa11, p.kappa12], [p.kappa21, p.beta2 + p.kappa22]])
-    n_full = int(np.floor(z_max / step + 1e-12))
     remainder = z_max - n_full * step
     steps = [step] * n_full
     if remainder > 1e-12 * z_max:

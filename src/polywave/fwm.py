@@ -14,18 +14,18 @@ a fit parameter, never derived from chi3.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coupled_mode import NonPositiveStep
+from .coupled_mode import MAX_GRID_STEPS, check_grid
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 MU0_EPS0 = 1.0 / SPEED_OF_LIGHT**2
-# integrate_signal takes at most this many grid steps, the bound of a ray
-# (detect.MAX_RAY_STEPS); a finer grid is refused before it is allocated
-MAX_SIGNAL_STEPS = 1_000_000
+# integrate_signal's bound on its grid, shared with integrate_coupled_modes
+MAX_SIGNAL_STEPS = MAX_GRID_STEPS
 
 
 class ZeroMismatch(ValueError):
@@ -55,6 +55,12 @@ class FwmParams:
             raise ValueError(f"omega_s must be > 0, got {self.omega_s}")
         if self.k_s <= 0:
             raise ValueError(f"k_s must be > 0, got {self.k_s}")
+        try:
+            finite = cmath.isfinite(self.drive)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("pump drive omega_s^2 mu0 eps0 chi3_eff E1 E2 E3 / (2 k_s) overflows")
 
     @property
     def drive(self) -> complex:
@@ -69,16 +75,12 @@ def integrate_signal(p: FwmParams, z_max: float, step: float) -> list[tuple[floa
     """(z, E_s(z)) samples of the exact quadrature on a fixed grid.
 
     E_s(z) = -i A (1 - e^{-i dk z}) / (i dk) with A the pump drive, which
-    reduces to -i A z when dk = 0 (linear growth).
+    reduces to -i A z when dk = 0 (linear growth).  |E_s(z)| <= |A| z, so
+    the samples are finite when |A| z_max and dk z_max are.
     """
-    if step <= 0.0:
-        raise NonPositiveStep(f"step must be > 0, got {step}")
-    if z_max < step:
-        raise ValueError(f"z_max ({z_max}) must be >= step ({step})")
-    steps = z_max / step
-    if not steps <= MAX_SIGNAL_STEPS:  # also a NaN
-        raise ValueError(f"z_max / step must be <= {MAX_SIGNAL_STEPS}, got {steps:.6g}")
-    n_full = int(np.floor(steps + 1e-12))
+    n_full = int(np.floor(check_grid(z_max, step) + 1e-12))
+    if not (math.isfinite(abs(p.drive) * z_max) and math.isfinite(p.delta_k_z * z_max)):
+        raise ValueError("signal overflows: |drive| * z_max and delta_k * z_max must be finite")
     zs = [i * step for i in range(n_full + 1)]
     if z_max - zs[-1] > 1e-12 * z_max:
         zs.append(z_max)

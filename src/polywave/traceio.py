@@ -8,18 +8,21 @@ geometry, wave kind, seed, tolerances, and variant flags.
 
 Every body row, of a trace or of a report, goes through one row writer:
 `_write_rows` renders numpy columns through a `%`-format row template,
-_ROWS_PER_WRITE rows per write, so the Python floats and row strings alive
-at once stay a few MB however long a ray or report is.  The reader parses
-a trace body in one `np.loadtxt` pass.  Medium ids and vertex criteria
-follow CSV quoting; medium ids are rendered or parsed once per distinct
-value.
+_BLOCK_ROWS rows per write, so the Python floats and row strings alive at
+once stay a few MB however long a ray or report is.  The reader parses a
+trace body in blocks of as many rows with `np.loadtxt` and keeps only each
+block's numeric columns and references to shared medium ids, so no Python
+object per row outlives its block.  Medium ids and vertex criteria follow
+CSV quoting; medium ids are rendered or parsed once per distinct value.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
+import re
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -42,9 +45,9 @@ _INTERFACE_ROW = "interface,%d,%.17g,{position},%.17g,%.17g,%.17g,%.17g,%.17g,%.
 _VERTEX_ROW = "vertex,%s,,%s,,,,,,,%s,%.17g,%d\n"
 # One trace row: ray id, five floats, medium id (a CSV field, rendered once).
 _TRACE_ROW = ",%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
-# Rows rendered per write: bounds the Python floats and row strings alive at
-# once to a few MB however many rows a ray or report holds.
-_ROWS_PER_WRITE = 4096
+# Rows rendered per write and parsed per read: bounds the Python objects
+# alive at once to a few MB however many rows a ray or report holds.
+_BLOCK_ROWS = 4096
 _TRACE_DTYPE = np.dtype(
     [("ray", "i8")] + [(name, "f8") for name in TRACE_COLUMNS[1:6]] + [("medium", "O")]
 )
@@ -102,9 +105,9 @@ def _read_sidecar(path, expected_kind: str) -> dict:
 
 def _write_rows(fh, template: str, *columns: np.ndarray) -> None:
     """Write `template % row` for each row of the equal-length 1-D columns,
-    converting and rendering _ROWS_PER_WRITE rows per write."""
-    for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
-        chunk = [column[start:start + _ROWS_PER_WRITE].tolist() for column in columns]
+    converting and rendering _BLOCK_ROWS rows per write."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        chunk = [column[start:start + _BLOCK_ROWS].tolist() for column in columns]
         fh.write("".join(map(template.__mod__, zip(*chunk))))
 
 
@@ -171,16 +174,26 @@ def read_traces(path) -> tuple[list[FieldTrace], dict]:
         header = next(csv.reader([fh.readline()]), None)
         if header != TRACE_COLUMNS:
             raise SchemaMismatch(f"trace header {header} != {TRACE_COLUMNS}")
+        # ray id -> its z, incident, reflected and medium id pieces, one per
+        # block; each is a copy, so no piece keeps a block's strings alive
+        parts: dict = {}
+        medium = _MediumIds()
         with _garbled("trace row"), warnings.catch_warnings():
-            # A header-only file is a valid empty trace list.
+            # A header-only file is a valid empty trace list, and a blank
+            # line is skipped without counting towards a block.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            body = np.loadtxt(
-                fh, dtype=_TRACE_DTYPE, delimiter=",", quotechar='"', comments=None, ndmin=1
-            )
-    medium = {text: _parse_medium_id(text) for text in set(body["medium"].tolist())}
+            warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
+            for block in _read_blocks(fh):
+                for ray_id in np.unique(block["ray"]).tolist():
+                    rows = block[block["ray"] == ray_id]
+                    z, incident, reflected, medium_ids = parts.setdefault(ray_id, ([], [], [], []))
+                    z.append(rows["z"].copy())
+                    incident.append(_complex(rows["incident_re"], rows["incident_im"]))
+                    reflected.append(_complex(rows["reflected_re"], rows["reflected_im"]))
+                    medium_ids.append(list(map(medium.__getitem__, rows["medium"].tolist())))
     traces = []
-    for ray_id in np.unique(body["ray"]).tolist():
-        rows = body[body["ray"] == ray_id]
+    for ray_id in sorted(parts):
+        z, incident, reflected, medium_ids = parts.pop(ray_id)
         with _garbled(f"sidecar geometry of ray {ray_id}"):
             ray_meta = meta.get("rays", {}).get(str(ray_id))
             if ray_meta is None:
@@ -194,10 +207,10 @@ def read_traces(path) -> tuple[list[FieldTrace], dict]:
         traces.append(
             FieldTrace(
                 ray=ray,
-                z=rows["z"].copy(),
-                incident=_complex(rows["incident_re"], rows["incident_im"]),
-                reflected=_complex(rows["reflected_re"], rows["reflected_im"]),
-                medium_ids=tuple(map(medium.__getitem__, rows["medium"].tolist())),
+                z=np.concatenate(z),
+                incident=np.concatenate(incident),
+                reflected=np.concatenate(reflected),
+                medium_ids=tuple(itertools.chain.from_iterable(medium_ids)),
                 wave_kind=wave_kind,
                 ray_id=ray_id,
             )
@@ -205,12 +218,33 @@ def read_traces(path) -> tuple[list[FieldTrace], dict]:
     return traces, meta
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """Parts assigned separately: re + 1j*im would turn -0.0 into 0.0 and
-    an infinite imaginary part into a nan real part."""
-    out = np.empty(len(re), dtype=complex)
-    out.real = re
-    out.imag = im
+def _read_blocks(fh):
+    """Yield the trace body left in fh as structured arrays of _BLOCK_ROWS
+    rows (the last one shorter, possibly empty).  A parse error names its
+    row counted from the first row of the body, as one pass would."""
+    rows = 0
+    while True:
+        try:
+            block = np.loadtxt(
+                fh, dtype=_TRACE_DTYPE, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                max_rows=_BLOCK_ROWS,
+            )
+        except ValueError as exc:
+            raise ValueError(re.sub(
+                r"(?<=at row )\d+", lambda m: str(int(m[0]) + rows), str(exc), count=1
+            )) from None
+        yield block
+        if len(block) < _BLOCK_ROWS:
+            return
+        rows += _BLOCK_ROWS
+
+
+def _complex(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """Parts assigned separately: real + 1j*imag would turn -0.0 into 0.0
+    and an infinite imaginary part into a nan real part."""
+    out = np.empty(len(real), dtype=complex)
+    out.real = real
+    out.imag = imag
     return out
 
 
@@ -222,11 +256,16 @@ def _csv_field(value) -> str:
     return buf.getvalue()[:-2]
 
 
-def _parse_medium_id(text: str):
-    try:
-        return int(text)
-    except ValueError:
-        return text
+class _MediumIds(dict):
+    """Medium id text -> parsed id (an int where the text is one), each
+    distinct text parsed once."""
+
+    def __missing__(self, text: str):
+        try:
+            self[text] = medium_id = int(text)
+        except ValueError:
+            self[text] = medium_id = text
+        return medium_id
 
 
 def _join_position(position) -> str:

@@ -52,6 +52,13 @@ class SlabSpec:
             raise ValueError(f"thickness must be > 0, got {self.thickness}")
         if self.k0 <= 0:
             raise ValueError(f"k0 must be > 0, got {self.k0}")
+        # the mode solver squares n_core * k0 and works in units of u_max
+        try:
+            finite = math.isfinite((self.n_core * self.k0) ** 2) and math.isfinite(self.u_max)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("slab overflows: (n_core k0)^2 and u_max must be finite")
 
     @property
     def u_max(self) -> float:

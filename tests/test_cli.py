@@ -1,13 +1,19 @@
 """End-to-end command-line behavior, driven in-process through main()."""
 
 import hashlib
+import io
 import json
 import math
 import re
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polywave import cli, detect, traceio
 from polywave import fwm as fwm_mod
@@ -422,6 +428,53 @@ def test_trace_value_near_the_float_range_is_a_quiet_reject(value, row, tmp_path
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert out.endswith(" vertex_hits=0\n")
+
+
+@pytest.fixture(scope="module")
+def readme_traces(tmp_path_factory):
+    """The README config without its [vertices] section, and the text of the
+    trace file and sidecar that simulate writes for it."""
+    tmp = tmp_path_factory.mktemp("readme")
+    cfg, text = readme_config(tmp)
+    cfg.write_text(text.partition("[vertices]")[0])
+    traces = tmp / "traces.csv"
+    with redirect_stderr(io.StringIO()):
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(traces)]) == 0
+    return cfg, traces.read_text().splitlines(keepends=True), sidecar_path(traces).read_text()
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    row=st.integers(min_value=1),
+    field=st.integers(min_value=0, max_value=7),
+    value=st.sampled_from(
+        ["inf", "-inf", "nan", "1e400", "-0", "", "x", '"a,b"', "1_0", "1e308", "-1"]
+    ),
+)
+def test_a_replaced_trace_field_exits_0_or_4_quietly(readme_traces, row, field, value):
+    """One field of a README trace row replaced (field 7: one field added):
+    detect exits 0 or 4 with no traceback, and an exit-0 run warns nothing.
+    The config has no vertex checks, whose coupled-mode fit still exits 5 on
+    an off-grid z."""
+    cfg, lines, sidecar = readme_traces
+    row = 1 + row % (len(lines) - 1)
+    fields = lines[row].rstrip("\n").split(",")
+    fields[field:field + 1] = [value]
+    lines = lines[:row] + [",".join(fields) + "\n"] + lines[row + 1:]
+    with tempfile.TemporaryDirectory() as d:
+        traces = Path(d) / "traces.csv"
+        traces.write_text("".join(lines))
+        sidecar_path(traces).write_text(sidecar)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
+                redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(["detect", "--config", str(cfg), "--traces", str(traces),
+                             "--out", str(Path(d) / "report.csv")])
+    assert code in (0, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert (err.getvalue(), [str(w.message) for w in caught]) == ("", [])
 
 
 def vertex_files(tmp_path, check: str, series, length: float):
@@ -920,6 +973,32 @@ def test_toolbox_input_that_cannot_be_computed_exit_5(argv, message, capsys):
     """A zero wavelength used to divide by zero, and a non-finite stage or
     amplitude token printed a nan matrix or nan powers."""
     assert cli.main(argv) == 5
+    assert capsys.readouterr() == ("", f"spec error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["slab-modes", "--core", "1e200", "--clad", "1.0", "--thickness", "2e-6", "--k0", "1e6"],
+     "slab overflows: (n_core k0)^2 and u_max must be finite"),
+    (["fwm", "--omega-s", "1e300", "--k-s", "1e-300", "--chi3", "1e300", "--z-max", "1",
+      "--step", "0.5"], "pump drive omega_s^2 mu0 eps0 chi3_eff E1 E2 E3 / (2 k_s) overflows"),
+    (["coupler", "c:1e308,1e308"], "bad stage token 'c:1e308,1e308': its phase overflows"),
+    (["coupler", "c:0.3,1", "--input", "1e308,1e308"],
+     "--input 1e308,1e308 overflows the output power"),
+    (["coupler", "c:0.3,1", "d:1e308,2,0", "c:0.3,1"],
+     "bad stage token 'd:1e308,2,0': its phase overflows"),
+    (["fwm", "--omega-s", "1e150", "--k-s", "1", "--chi3", "1", "--z-max", "1e300",
+      "--step", "1e295"], "signal overflows: |drive| * z_max and delta_k * z_max must be finite"),
+    (FWM + ["--delta-k", "1e10", "--z-max", "1e300", "--step", "1e295"],
+     "signal overflows: |drive| * z_max and delta_k * z_max must be finite"),
+])
+def test_toolbox_input_that_overflows_exit_5(argv, message, capsys):
+    """Finite but huge toolbox input used to end in an OverflowError
+    traceback (slab-modes, fwm drive), print a nan matrix (a coupler or delay
+    stage), or warn and print P2 = inf (coupler input) or an inf or nan
+    signal (fwm grid)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(argv) == 5
     assert capsys.readouterr() == ("", f"spec error: {message}\n")
 
 

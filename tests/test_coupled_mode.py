@@ -1,6 +1,7 @@
 """Coupled-mode integration, closed-form power exchange, and cascades."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polywave.coupled_mode import (
+    MAX_GRID_STEPS,
     BothZero,
     CascadeSpec,
     CoupledModeParams,
@@ -23,6 +25,7 @@ from polywave.coupled_mode import (
     integrate_coupled_modes,
     rk4_step_matrix,
 )
+from polywave.detect import MAX_RAY_STEPS
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -69,6 +72,26 @@ def test_step_validation():
         integrate_coupled_modes(p, 1.0, step=0.0)
     with pytest.raises(ValueError):
         integrate_coupled_modes(p, 0.5, step=1.0)
+
+
+@pytest.mark.parametrize("z_max, step, steps", [
+    (math.inf, 1.0, "inf"), (math.inf, None, "inf"), (1.0, 1e-12, "1e+12"),
+    (math.nan, 1.0, "nan"), (1.0, math.nan, "nan"), (2e6, 1.0, "2e+06"),
+])
+def test_integrate_coupled_modes_refuses_too_many_steps_before_building_the_grid(
+    z_max, step, steps, monkeypatch
+):
+    """More than MAX_GRID_STEPS steps, or a z_max or step that is not finite,
+    is a ValueError before the grid is built: z_max = inf used to raise an
+    OverflowError, and a step of 1e-12 would build a list of 1e12 steps."""
+    def never(*args, **kwargs):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(np, "floor", never)
+    p = CoupledModeParams(beta1=1.0, beta2=1.0, kappa12=0.1, kappa21=0.1)
+    with pytest.raises(ValueError, match=re.escape(f"z_max / step must be <= 1000000, got {steps}")):
+        integrate_coupled_modes(p, z_max, step)
+    assert MAX_GRID_STEPS == MAX_RAY_STEPS
 
 
 def test_default_step_used_when_omitted():

@@ -6,12 +6,15 @@ import io
 import json
 import math
 import re
+import sys
 import tempfile
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polywave.acoustic import AcousticMedium
@@ -37,6 +40,8 @@ from polywave.scenario import (
     run_simulate,
 )
 from polywave.traceio import (
+    _BLOCK_ROWS,
+    TRACE_COLUMNS,
     SchemaMismatch,
     fmt_float,
     read_report,
@@ -843,6 +848,149 @@ def test_trace_of_many_samples_matches_the_per_row_rendering(tmp_path):
     for i in range(k):
         rows.writerow([7, *(fmt_float(v) for v in values[:, i]), trace.medium_ids[i]])
     assert path.read_text().split("\n", 1)[1] == expected.getvalue()
+
+
+def long_trace(ray_id: int, k: int) -> FieldTrace:
+    z = np.arange(k) * 0.001
+    return FieldTrace(
+        ray=UNIT_RAY, z=z, incident=np.exp(1j * z), reflected=-0.5 * np.exp(-1j * z),
+        medium_ids=tuple(10 + i % 50 for i in range(k)), wave_kind="em", ray_id=ray_id,
+    )
+
+
+@pytest.mark.parametrize("garble, message", [
+    (lambda line: line + ",7", "the dtype passed requires 7 columns but 8 were found at row 12293"),
+    (lambda line: line.replace(",", ",x", 1),
+     "could not convert string 'x12.292' to float64 at row 12292, column 2."),
+])
+def test_garbled_row_in_a_later_block_is_named_by_its_row_in_the_body(tmp_path, garble, message):
+    """The body is parsed in blocks of _BLOCK_ROWS rows, and numpy counts the
+    rows of each block from its start: a bad row in the 4th block must still
+    be named by its row in the whole body, as a one-pass parse names it."""
+    path = tmp_path / "traces.csv"
+    write_traces(path, [long_trace(0, 4 * _BLOCK_ROWS)])
+    lines = path.read_text().splitlines()
+    lines[12293] = garble(lines[12293])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaMismatch) as err:
+        read_traces(path)
+    assert str(err.value) == f"garbled trace row: {message}"
+
+
+TRACE_DTYPE = np.dtype(
+    [("ray", "i8")] + [(name, "f8") for name in ("z", "ir", "ii", "rr", "ri")] + [("medium", "O")]
+)
+
+
+def parsed_medium_id(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+def one_pass_read(path) -> dict:
+    """{ray id: (z, incident_re, incident_im, reflected_re, reflected_im,
+    medium ids)} from one np.loadtxt pass over the whole body, each ray's
+    rows in file order."""
+    with open(path) as fh:
+        fh.readline()
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            body = np.loadtxt(
+                fh, dtype=TRACE_DTYPE, delimiter=",", quotechar='"', comments=None, ndmin=1
+            )
+    out = {}
+    for ray_id in np.unique(body["ray"]).tolist():
+        rows = body[body["ray"] == ray_id]
+        medium = tuple(map(parsed_medium_id, rows["medium"].tolist()))
+        out[ray_id] = (*(rows[name] for name in TRACE_DTYPE.names[1:6]), medium)
+    return out
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+SPECIAL_FLOATS = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1.5])
+MEDIUM_IDS = [0, 12, -3, "core", "", "a,b", 'x"y', "p\nq"]
+
+
+@settings(deadline=None, max_examples=15)
+@example(blocks=2, shift=0, seed=0, blank_at=None)  # exactly two full blocks
+@example(blocks=0, shift=0, seed=0, blank_at=None)  # header only
+@example(blocks=1, shift=1, seed=1, blank_at=_BLOCK_ROWS)  # blanks before the lone last row
+@given(
+    blocks=st.integers(min_value=0, max_value=2),
+    shift=st.integers(min_value=-3, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    blank_at=st.none() | st.integers(min_value=0, max_value=3 * _BLOCK_ROWS),
+)
+def test_block_reader_reads_what_one_pass_reads(blocks, shift, seed, blank_at):
+    """Row counts near multiples of the block size, three rays interleaved
+    across every block border (one of them absent from the first block),
+    quoted ids holding a comma, a quote and a newline on both sides of each
+    border, and optionally a run of more than one block of blank lines:
+    every ray comes back bit for bit as one np.loadtxt pass over the whole
+    body reads it."""
+    n = max(blocks * _BLOCK_ROWS + shift, 0)
+    rng = np.random.default_rng(seed)
+    values = np.where(
+        rng.random((n, 5)) < 0.3,
+        SPECIAL_FLOATS[rng.integers(0, len(SPECIAL_FLOATS), (n, 5))],
+        rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-300, 300, (n, 5)),
+    )
+    # ray 0 first appears after the first block, so it must still come back first
+    ray_ids = rng.integers(0, 3, n)
+    ray_ids[:_BLOCK_ROWS] = ray_ids[:_BLOCK_ROWS] % 2 + 1
+    medium = [MEDIUM_IDS[i] for i in rng.integers(0, len(MEDIUM_IDS), n)]
+    for border in range(_BLOCK_ROWS, n + 1, _BLOCK_ROWS):
+        medium[border - 2:border + 2] = ["a,b", "p\nq", 'x"y', "p\nq"]
+    del medium[n:]
+    records = io.StringIO()
+    rows = csv.writer(records, lineterminator="\n")
+    for ray_id, fields, medium_id in zip(ray_ids.tolist(), values.tolist(), medium):
+        rows.writerow([ray_id, *map(repr, fields), medium_id])
+    body = records.getvalue().splitlines(keepends=True)
+    # splitlines also splits the quoted newlines; a record starts with a ray id
+    starts = [i for i, line in enumerate(body) if line[:1].isdigit()] + [len(body)]
+    if blank_at is not None:
+        at = starts[min(blank_at, n)]
+        body[at:at] = ["\n"] * (_BLOCK_ROWS + 3)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "traces.csv"
+        write_traces(path, em_traces_from_rows([(r, 0.0, 1.0, 0.0, 0.0, 0.0, 0) for r in range(3)]))
+        path.write_text(",".join(TRACE_COLUMNS) + "\n" + "".join(body))
+        back, _ = read_traces(path)
+        expected = one_pass_read(path)
+    assert [tr.ray_id for tr in back] == sorted(expected)
+    for tr in back:
+        z, inc_re, inc_im, ref_re, ref_im, medium_ids = expected[tr.ray_id]
+        for got, want in [(tr.z, z), (tr.incident.real, inc_re), (tr.incident.imag, inc_im),
+                          (tr.reflected.real, ref_re), (tr.reflected.imag, ref_im)]:
+            assert np.array_equal(bits(got), bits(want))
+        assert tr.medium_ids == medium_ids
+        assert list(map(type, tr.medium_ids)) == list(map(type, medium_ids))
+
+
+def test_read_peak_memory_stays_within_twice_what_it_returns(tmp_path):
+    """No object per row outlives its block: on two rays of four blocks
+    and more, the traced peak of a read stays within twice the bytes it
+    returns (a one-pass parse with one Python str per row peaked near 4x)."""
+    path = tmp_path / "traces.csv"
+    write_traces(path, [long_trace(ray_id, 4 * _BLOCK_ROWS + 100) for ray_id in (0, 1)])
+    read_traces(path)  # compile and cache what a first call builds
+    tracemalloc.start()
+    try:
+        back, _ = read_traces(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(
+        tr.z.nbytes + tr.incident.nbytes + tr.reflected.nbytes + sys.getsizeof(tr.medium_ids)
+        for tr in back
+    )
+    assert peak <= 2 * returned
 
 
 # ---------------------------------------------------------------------------
