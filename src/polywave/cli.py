@@ -176,9 +176,9 @@ def cmd_fwm(args) -> int:
     )
     samples = fwm_mod.integrate_signal(params, args.z_max, args.step)
     if args.closed_form:
+        closed = [fwm_mod.closed_form_signal(params, z) for z, _ in samples]
         print("# z |E_s| |E_closed|")
-        for z, e in samples:
-            ec = fwm_mod.closed_form_signal(params, z)
+        for (z, e), ec in zip(samples, closed):
             print(f"{fmt_float(z)} {fmt_float(abs(e))} {fmt_float(abs(ec))}")
     else:
         print("# z |E_s|")

@@ -228,22 +228,21 @@ def _march(c: SimplicialComplex, ray: Ray):
     inter-crossing segment, starting at z=0.  Facets between simplices of
     the same medium are crossed without a record or an incidence check.
     """
-    view = c.compiled
     origin = np.asarray(ray.origin, dtype=float)
     direction = np.asarray(ray.direction, dtype=float)
     eps_t = 1e-12 * max(1.0, ray.length)
 
     # barycentric coordinates lam(t) = lam0 + t*lam_d along the ray, and the
     # cosine between the ray and each facet normal, for every simplex
-    lam0_all = view.inverse @ np.concatenate(([1.0], origin))
+    lam0_all = c.inverse @ np.concatenate(([1.0], origin))
     # containing simplices of the origin, lowest index first
     containing = np.flatnonzero(np.min(lam0_all, axis=1) >= -1e-9).tolist()
     if not containing:
         raise RayOutsideComplex(f"ray origin {ray.origin} lies outside the complex")
     lam0 = lam0_all.tolist()
-    lam_d = (view.inverse @ np.concatenate(([0.0], direction))).tolist()
-    cosine = (view.normal @ direction).tolist()
-    neighbour = view.neighbour.tolist()
+    lam_d = (c.inverse @ np.concatenate(([0.0], direction))).tolist()
+    cosine = (c.normal @ direction).tolist()
+    neighbour = c.neighbour.tolist()
 
     def exit_of(idx: int, t_enter: float):
         l0, ld = lam0[idx], lam_d[idx]

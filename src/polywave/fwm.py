@@ -104,14 +104,17 @@ def closed_form_signal(p: FwmParams, z: float) -> complex:
     with A the pump drive.  Requires dk != 0; the bracket tends to 1 as
     z -> 0.  Note the square: the direct quadrature in integrate_signal
     carries a single sinc factor instead, so the two disagree away from
-    z = 0.
+    z = 0.  Raises ValueError where A / dk overflows.
     """
     dk = p.delta_k_z
     if dk == 0.0:
         raise ZeroMismatch("closed form requires delta_k_z != 0")
     half = 0.5 * dk * z
     bracket = 1.0 if half == 0.0 else math.sin(half) / half
-    return p.drive / dk * bracket**2
+    signal = p.drive / dk * bracket**2
+    if not cmath.isfinite(signal):
+        raise ValueError("closed-form signal overflows: |drive| / delta_k must be finite")
+    return signal
 
 
 @dataclass(frozen=True)

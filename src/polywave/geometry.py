@@ -6,16 +6,15 @@ Compartments are the n-simplices.  Facets ((n-1)-simplices) incident to two
 n-simplices are interfaces between compartments; facets incident to exactly
 one are the boundary.  Facet identity is the sorted vertex-index tuple, so
 orientation is never tracked.  Facets are paired once, by sorting: cofaces
-of a facet become adjacent rows.  A complex compiles, once and on first use,
-into the per-simplex arrays that ray marching reads (barycentric inverses,
-facet normals and the neighbour across each facet).
+of a facet become adjacent rows.  build_complex also builds the per-simplex
+arrays that ray marching reads (barycentric inverses, facet normals and the
+neighbour across each facet), so a complex is one record.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -40,47 +39,32 @@ class DegenerateSimplex(GeometryError):
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Validated complex; construct with :func:`build_complex`."""
+    """Validated complex; construct with :func:`build_complex`.
+
+    The arrays hold one row per simplex s (S in all) and local vertex j.
+    Row j of ``inverse[s]`` maps (1, x) to the barycentric coordinate of
+    vertex j at point x, so it is also the gradient of that coordinate:
+    ``normal[s, j]`` is its unit length version, normal to the facet
+    opposite vertex j.  ``neighbour[s, j]`` is the simplex across that
+    facet, or -1 where the facet lies on the boundary.  Equality compares
+    the tuples and the media map only.
+    """
 
     dimension: int
     vertices: tuple[tuple[float, ...], ...]
     simplices: tuple[Simplex, ...]
     # simplex index -> medium id; empty when the complex is purely geometric
-    media: dict = field(default_factory=dict)
-
-    def vertex_array(self) -> np.ndarray:
-        return np.asarray(self.vertices, dtype=float)
-
-    @cached_property
-    def compiled(self) -> CompiledComplex:
-        """The complex's marching tables, built on first use and kept."""
-        return _compile(self)
+    media: dict
+    inverse: np.ndarray = field(compare=False, repr=False)    # (S, n+1, n+1)
+    normal: np.ndarray = field(compare=False, repr=False)     # (S, n+1, n)
+    neighbour: np.ndarray = field(compare=False, repr=False)  # (S, n+1), int
 
 
-@dataclass(frozen=True)
-class CompiledComplex:
-    """Per-simplex arrays for ray marching; S simplices, local vertex j.
-
-    Row j of ``inverse[s]`` maps (1, x) to the barycentric coordinate of
-    vertex j at point x, so it is also the gradient of that coordinate:
-    ``normal[s, j]`` is its unit length version, normal to the facet
-    opposite vertex j.  ``neighbour[s, j]`` is the simplex across that
-    facet, or -1 where the facet lies on the boundary.
-    """
-
-    inverse: np.ndarray    # (S, n+1, n+1)
-    normal: np.ndarray     # (S, n+1, n)
-    neighbour: np.ndarray  # (S, n+1), int
-
-
-def _compile(c: SimplicialComplex) -> CompiledComplex:
-    corners = c.vertex_array()[np.array(c.simplices)]  # (S, n+1, n)
-    m = np.ones((len(c.simplices), c.dimension + 1, c.dimension + 1))
-    m[:, 1:, :] = corners.transpose(0, 2, 1)
-    inverse = np.linalg.inv(m)
-    grad = inverse[:, :, 1:]
-    normal = grad / np.linalg.norm(grad, axis=2, keepdims=True)
-    return CompiledComplex(inverse, normal, _neighbours(c.simplices))
+def _scaled(a: np.ndarray, axes) -> np.ndarray:
+    """`a` divided by the power of two that brings max |a| over `axes` into
+    [0.5, 1): exact, and it keeps norms and determinants in range."""
+    exponent = np.frexp(np.max(np.abs(a), axis=axes, keepdims=True))[1]
+    return np.ldexp(a, -exponent)
 
 
 def _neighbours(simplices) -> np.ndarray:
@@ -136,8 +120,9 @@ def build_complex(
     Vertex-index tuples are stored sorted.  Raises DegenerateSimplex for a
     zero-volume simplex, FacetOvercount when a facet has more than two
     cofaces, DimensionalInhomogeneity for a vertex used by no simplex, and
-    GeometryError for malformed indices, duplicates, or an incomplete media
-    map.
+    GeometryError for a non-finite coordinate, malformed indices,
+    duplicates, an incomplete media map, or two simplices that fold over
+    their shared facet.
     """
     if dimension < 1:
         raise GeometryError(f"dimension must be >= 1, got {dimension}")
@@ -149,6 +134,10 @@ def build_complex(
             raise GeometryError(
                 f"vertex {i} has {len(v)} coordinates, expected {dimension}"
             )
+    points = np.asarray(verts, dtype=float)
+    nonfinite = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if nonfinite.size:
+        raise GeometryError(f"vertex {nonfinite[0]} has a non-finite coordinate")
 
     raw = [tuple(int(i) for i in s) for s in simplices]
     if not raw:
@@ -166,15 +155,16 @@ def build_complex(
     if len(set(canonical)) != len(canonical):
         raise GeometryError("duplicate simplex (same vertex set listed twice)")
 
-    corners = np.asarray(verts, dtype=float)[np.array(canonical)]
-    edges = corners[:, 1:] - corners[:, :1]
+    table = np.array(canonical)
+    corners = points[table]  # (S, n+1, n)
+    edges = _scaled(corners[:, 1:] - corners[:, :1], (1, 2))
     scale = np.max(np.linalg.norm(edges, axis=2), axis=1)
     det = np.abs(np.linalg.det(edges))
     flat = np.flatnonzero((scale == 0.0) | (det <= 1e-12 * scale**dimension))
     if len(flat):
         raise DegenerateSimplex(f"simplex {canonical[flat[0]]} has zero volume")
 
-    _neighbours(canonical)
+    neighbour = _neighbours(table)
 
     used = set(itertools.chain.from_iterable(canonical))
     orphans = sorted(set(range(len(verts))) - used)
@@ -193,7 +183,32 @@ def build_complex(
                 "media map must cover every simplex index exactly; "
                 f"got keys {sorted(media_map)}"
             )
-    return SimplicialComplex(dimension, verts, tuple(canonical), media_map)
+
+    m = np.ones((len(canonical), dimension + 1, dimension + 1))
+    m[:, 1:, :] = corners.transpose(0, 2, 1)
+    inverse = np.linalg.inv(m)
+    grad = _scaled(inverse[:, :, 1:], 2)
+    normal = grad / np.linalg.norm(grad, axis=2, keepdims=True)
+
+    # across interior facet (s, j), the apex of t = neighbour[s, j] (its
+    # vertex off the facet) must lie strictly outside s: lambda_j < 0.
+    # lambda_j is taken from corner 0 of s, where it is 1 or 0, so that a
+    # mesh far from the origin loses no digits
+    s, j = np.nonzero(neighbour >= 0)
+    t = neighbour[s, j]
+    apex = table[t, np.argmax(neighbour[t] == s[:, None], axis=1)]
+    offset = points[apex] - corners[s, 0]
+    lam = (j == 0) + np.sum(inverse[s, j, 1:] * offset, axis=1)
+    folded = np.flatnonzero(lam >= 0.0)
+    if folded.size:
+        k = folded[0]
+        a, b = sorted((s[k], t[k]))
+        simplex = canonical[s[k]]
+        facet = simplex[:j[k]] + simplex[j[k] + 1:]
+        raise GeometryError(f"simplices {a} and {b} fold over facet {facet}")
+    return SimplicialComplex(
+        dimension, verts, tuple(canonical), media_map, inverse, normal, neighbour
+    )
 
 
 def classify_facets(c: SimplicialComplex) -> FacetClassification:

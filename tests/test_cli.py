@@ -601,6 +601,49 @@ def test_simulate_degenerate_geometry_exit_3(tmp_path, capsys):
     assert "geometry error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("0.0 | 0.25 | 0.55 | 1.0", "0.0 | 999 | 0.55 | 1.0", "simplices 0 and 1 fold over facet (1,)"),
+    ("| 2 3", "| 2 99999999999999999999999",
+     "simplex (2, 99999999999999999999999) references unknown vertex 99999999999999999999999"),
+])
+def test_readme_geometry_edit_exit_3(old, new, message, tmp_path, capsys):
+    """A folded rod used to simulate with exit 0."""
+    code, err = simulate_edited_readme_config(old, new, tmp_path, capsys)
+    assert (code, err) == (3, f"geometry error: {message}\n")
+
+
+HUGE_ROD = """\
+[geometry]
+dimension = 1
+vertices = 0.0 | 1e160 | 3e160
+simplices = 0 1 | 1 2
+
+[media]
+wave_kind = em
+medium.0 = n=1.0
+medium.1 = n=1.5
+
+[rays]
+ray.0 = origin=1e159 direction=1 length=2e160 grid_step=1e158
+
+[detection]
+candidates = 1.0,1.5
+"""
+
+
+def test_rod_near_the_float_range_runs_quietly(tmp_path, capsys):
+    """The degeneracy test squared 1e160 edges: it warned of an overflow
+    and refused the rod as having zero volume (exit 3)."""
+    cfg, traces = tmp_path / "huge.cfg", tmp_path / "traces.csv"
+    cfg.write_text(HUGE_ROD)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(traces)]) == 0
+        assert cli.main(["detect", "--config", str(cfg), "--traces", str(traces),
+                         "--out", str(tmp_path / "report.csv")]) == 0
+    assert capsys.readouterr().out == "interface_hits=1 vertex_hits=0\n"
+
+
 # ---------------------------------------------------------------------------
 # detect
 
@@ -990,12 +1033,15 @@ def test_toolbox_input_that_cannot_be_computed_exit_5(argv, message, capsys):
       "--step", "1e295"], "signal overflows: |drive| * z_max and delta_k * z_max must be finite"),
     (FWM + ["--delta-k", "1e10", "--z-max", "1e300", "--step", "1e295"],
      "signal overflows: |drive| * z_max and delta_k * z_max must be finite"),
+    (["fwm", "--omega-s", "1e150", "--k-s", "1", "--chi3", "1", "--delta-k", "1e-300",
+      "--z-max", "1", "--step", "0.5", "--closed-form"],
+     "closed-form signal overflows: |drive| / delta_k must be finite"),
 ])
 def test_toolbox_input_that_overflows_exit_5(argv, message, capsys):
     """Finite but huge toolbox input used to end in an OverflowError
     traceback (slab-modes, fwm drive), print a nan matrix (a coupler or delay
     stage), or warn and print P2 = inf (coupler input) or an inf or nan
-    signal (fwm grid)."""
+    signal (fwm grid) or an inf closed form."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert cli.main(argv) == 5
