@@ -121,8 +121,8 @@ def build_complex(
     zero-volume simplex, FacetOvercount when a facet has more than two
     cofaces, DimensionalInhomogeneity for a vertex used by no simplex, and
     GeometryError for a non-finite coordinate, malformed indices,
-    duplicates, an incomplete media map, or two simplices that fold over
-    their shared facet.
+    duplicates, a simplex wider than the float range, an incomplete media
+    map, or two simplices that fold over their shared facet.
     """
     if dimension < 1:
         raise GeometryError(f"dimension must be >= 1, got {dimension}")
@@ -157,7 +157,12 @@ def build_complex(
 
     table = np.array(canonical)
     corners = points[table]  # (S, n+1, n)
-    edges = _scaled(corners[:, 1:] - corners[:, :1], (1, 2))
+    with np.errstate(over="ignore"):
+        edges = corners[:, 1:] - corners[:, :1]
+    wide = np.flatnonzero(~np.isfinite(edges).all(axis=(1, 2)))
+    if wide.size:
+        raise GeometryError(f"simplex {canonical[wide[0]]} spans more than the float range")
+    edges = _scaled(edges, (1, 2))
     scale = np.max(np.linalg.norm(edges, axis=2), axis=1)
     det = np.abs(np.linalg.det(edges))
     flat = np.flatnonzero((scale == 0.0) | (det <= 1e-12 * scale**dimension))

@@ -14,6 +14,24 @@ trace body in blocks of as many rows with `np.loadtxt` and keeps only each
 block's numeric columns and references to shared medium ids, so no Python
 object per row outlives its block.  Medium ids and vertex criteria follow
 CSV quoting; medium ids are rendered or parsed once per distinct value.
+
+A body is written and read in shares: contiguous runs of whole rows, one
+per usable CPU up to _MAX_SHARES.  Forked children render or parse every
+share but one while the parent handles the remaining one; the serial case
+is the same code with one share.  One share is used for a body of fewer
+than 2 * _BLOCK_ROWS rows, where `os.fork` or `os.sched_getaffinity` is
+missing, and while a second Python thread runs.  A writing child renders
+its rows into memory, then sends the encoded bytes down a pipe, which the
+parent copies into the file in order; a reading child parses its byte range
+with the same block loop and pickles its pieces down a pipe.  A read cuts
+only where no quote precedes the cut in the body, as a quoted medium id may
+hold a newline.  A share whose child fails is rendered again in the parent,
+and a read of which any share fails is read again serially, so errors and
+their row numbers come from one code path.  A child ends with `os._exit`,
+running no exception handler, atexit hook or stdio flush; it calls no BLAS,
+so the fork warning that Python 3.12 gives for numpy's BLAS thread is
+ignored.  Every child is reaped before the call returns or raises, and one
+still running when an exception leaves is killed first.
 """
 
 from __future__ import annotations
@@ -22,7 +40,11 @@ import csv
 import io
 import itertools
 import json
+import os
+import pickle
 import re
+import shutil
+import threading
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -48,6 +70,10 @@ _TRACE_ROW = ",%.17g,%.17g,%.17g,%.17g,%.17g,%s\n"
 # Rows rendered per write and parsed per read: bounds the Python objects
 # alive at once to a few MB however many rows a ray or report holds.
 _BLOCK_ROWS = 4096
+# Most shares a body is cut into, each rendered or parsed by one process.
+_MAX_SHARES = 4
+# Bytes per copy from a child's pipe and per read of a body scan.
+_COPY_BYTES = 1 << 20
 _TRACE_DTYPE = np.dtype(
     [("ray", "i8")] + [(name, "f8") for name in TRACE_COLUMNS[1:6]] + [("medium", "O")]
 )
@@ -111,6 +137,104 @@ def _write_rows(fh, template: str, *columns: np.ndarray) -> None:
         fh.write("".join(map(template.__mod__, zip(*chunk))))
 
 
+def _share_count(rows: int) -> int:
+    """Shares for a body of at least `rows` rows (see the module docstring)."""
+    if (rows < 2 * _BLOCK_ROWS or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1):
+        return 1
+    return min(len(os.sched_getaffinity(0)), _MAX_SHARES)
+
+
+class _Child:
+    """A forked child and the read end of the pipe it writes its result to;
+    pid None stands for a fork that failed, whose pipe is empty."""
+
+    def __init__(self, pid: int | None, pipe):
+        self.pid = pid
+        self.pipe = pipe
+
+    def wait(self) -> bool:
+        """Close the pipe and reap the child: True when it exited with 0."""
+        self.pipe.close()
+        pid, self.pid = self.pid, None
+        return pid is not None and os.waitpid(pid, 0)[1] == 0
+
+
+@contextmanager
+def _forked(tasks):
+    """Run each task(out) in a forked child, `out` being the write end of a
+    pipe, and yield one _Child per task in order.  A child exits with 0 once
+    its task returned and with 1 otherwise.  On leaving, every child not yet
+    reaped is reaped, and killed first when an exception leaves."""
+    children = []
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded")
+            for task in tasks:
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    pid = None  # the caller then handles the share itself
+                if pid == 0:
+                    code = 1
+                    try:
+                        with open(write, "wb") as out:
+                            task(out)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(write)
+                children.append(_Child(pid, open(read, "rb")))
+        yield children
+    except BaseException:
+        import signal  # needed on this path alone
+
+        for child in children:
+            if child.pid is not None:
+                os.kill(child.pid, signal.SIGKILL)
+        raise
+    finally:
+        for child in children:
+            child.wait()
+
+
+def _write_body(fh, segments) -> None:
+    """Write the rows of `segments`, (row template, columns) pairs in file
+    order, to the text file fh in shares of whole rows cut across segments."""
+    sizes = [len(columns[0]) for _, columns in segments]
+    shares = _share_count(sum(sizes))
+    cuts = [sum(sizes) * i // shares for i in range(shares + 1)]
+
+    def render(out, start: int, stop: int) -> None:
+        offset = 0
+        for (template, columns), size in zip(segments, sizes):
+            lo, hi = max(start - offset, 0), min(stop - offset, size)
+            if lo < hi:
+                _write_rows(out, template, *(column[lo:hi] for column in columns))
+            offset += size
+
+    def task(start: int, stop: int):
+        def rendered(out) -> None:
+            text = io.StringIO()
+            render(text, start, stop)
+            out.write(text.getvalue().encode(fh.encoding, fh.errors))
+        return rendered
+
+    later = list(zip(cuts[1:-1], cuts[2:]))
+    fh.flush()  # a child must not inherit the header in fh's buffer
+    with _forked([task(*share) for share in later]) as children:
+        render(fh, 0, cuts[1])
+        for child, share in zip(children, later):
+            fh.flush()
+            end = fh.tell()
+            shutil.copyfileobj(child.pipe, fh.buffer, _COPY_BYTES)
+            if not child.wait():
+                fh.seek(end)
+                fh.truncate()
+                render(fh, *share)
+
+
 def write_traces(path, traces, extra_meta: dict | None = None) -> None:
     """Write FieldTraces ordered by ray id, plus the sidecar.
 
@@ -137,12 +261,13 @@ def write_traces(path, traces, extra_meta: dict | None = None) -> None:
     medium = {m: _csv_field(m) for m in set().union(*(tr.medium_ids for tr in traces))}
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for tr in traces:
-            _write_rows(
-                fh, str(tr.ray_id) + _TRACE_ROW, tr.z, tr.incident.real, tr.incident.imag,
-                tr.reflected.real, tr.reflected.imag,
+        _write_body(fh, [
+            (str(tr.ray_id) + _TRACE_ROW, (
+                tr.z, tr.incident.real, tr.incident.imag, tr.reflected.real, tr.reflected.imag,
                 np.array([medium[m] for m in tr.medium_ids], dtype=object),
-            )
+            ))
+            for tr in traces
+        ])
     meta = {
         "kind": "traces",
         "version": FORMAT_VERSION,
@@ -174,23 +299,8 @@ def read_traces(path) -> tuple[list[FieldTrace], dict]:
         header = next(csv.reader([fh.readline()]), None)
         if header != TRACE_COLUMNS:
             raise SchemaMismatch(f"trace header {header} != {TRACE_COLUMNS}")
-        # ray id -> its z, incident, reflected and medium id pieces, one per
-        # block; each is a copy, so no piece keeps a block's strings alive
-        parts: dict = {}
-        medium = _MediumIds()
-        with _garbled("trace row"), warnings.catch_warnings():
-            # A header-only file is a valid empty trace list, and a blank
-            # line is skipped without counting towards a block.
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
-            for block in _read_blocks(fh):
-                for ray_id in np.unique(block["ray"]).tolist():
-                    rows = block[block["ray"] == ray_id]
-                    z, incident, reflected, medium_ids = parts.setdefault(ray_id, ([], [], [], []))
-                    z.append(rows["z"].copy())
-                    incident.append(_complex(rows["incident_re"], rows["incident_im"]))
-                    reflected.append(_complex(rows["reflected_re"], rows["reflected_im"]))
-                    medium_ids.append(list(map(medium.__getitem__, rows["medium"].tolist())))
+        with _garbled("trace row"):
+            parts = _read_body(fh)
     traces = []
     for ray_id in sorted(parts):
         z, incident, reflected, medium_ids = parts.pop(ray_id)
@@ -216,6 +326,100 @@ def read_traces(path) -> tuple[list[FieldTrace], dict]:
             )
         )
     return traces, meta
+
+
+def _read_body(fh) -> dict:
+    """Parse the trace body left in the text file fh in shares: ray id ->
+    its z, incident, reflected and medium id pieces, in file order."""
+    start = fh.tell()
+    cuts = _body_cuts(fh.fileno(), start)
+
+    def task(lo: int, hi: int):
+        def parsed(out) -> None:
+            share = os.pread(fh.fileno(), hi - lo, lo)
+            text = io.TextIOWrapper(io.BytesIO(share), encoding=fh.encoding, errors=fh.errors)
+            pickle.dump(_parse_share(text, _MediumIds()), out, pickle.HIGHEST_PROTOCOL)
+        return parsed
+
+    medium = _MediumIds()
+    try:
+        with _forked([task(*share) for share in zip(cuts, cuts[1:])]) as children:
+            fh.seek(cuts[-1])
+            last = _parse_share(fh, medium)
+            # a child that failed leaves a pipe that ends before its pickle does
+            shares = [pickle.load(child.pipe) for child in children]
+    except (EOFError, pickle.UnpicklingError, ValueError):
+        fh.seek(start)
+        return _parse_share(fh, medium)
+    for share in shares:
+        for pieces in share.values():
+            # ids a child parsed become references to the parent's (parsing
+            # a parsed id gives it back), not one int object per row
+            pieces[3][:] = [list(map(medium.__getitem__, ids)) for ids in pieces[3]]
+    parts: dict = {}
+    for share in shares + [last]:
+        for ray_id, pieces in share.items():
+            for whole, piece in zip(parts.setdefault(ray_id, ([], [], [], [])), pieces):
+                whole.extend(piece)
+    return parts
+
+
+def _body_cuts(fd: int, start: int) -> list[int]:
+    """Byte offsets where the shares of the body from `start` to the end of
+    file fd start: `start`, then each line end past an equally spaced
+    offset that no quote in the body precedes."""
+    size = os.fstat(fd).st_size
+    if _share_count(size - start) == 1:  # a body holds no more rows than bytes
+        return [start]
+    rows, at = 0, start  # rows are counted only as far as the share rule needs
+    while rows < 2 * _BLOCK_ROWS and at < size:
+        rows += os.pread(fd, _COPY_BYTES, at).count(b"\n")
+        at += _COPY_BYTES
+    shares = _share_count(rows)
+    cuts = [start]
+    for i in range(1, shares):
+        cut = _line_end(fd, start + (size - start) * i // shares)
+        if cuts[-1] < cut < size:
+            cuts.append(cut)
+    at = start
+    for i, cut in enumerate(cuts[1:], 1):
+        while at < cut:
+            chunk = os.pread(fd, min(_COPY_BYTES, cut - at), at)
+            if not chunk or b'"' in chunk:
+                return cuts[:i]
+            at += len(chunk)
+    return cuts
+
+
+def _line_end(fd: int, at: int) -> int:
+    """Offset just past the first newline at or after `at`, or of the end."""
+    while chunk := os.pread(fd, _COPY_BYTES, at):
+        newline = chunk.find(b"\n")
+        if newline >= 0:
+            return at + newline + 1
+        at += len(chunk)
+    return at
+
+
+def _parse_share(fh, medium: _MediumIds) -> dict:
+    """Ray id -> its z, incident, reflected and medium id pieces, one per
+    block of the body left in fh; each is a copy, so no piece keeps a
+    block's strings alive."""
+    parts: dict = {}
+    with warnings.catch_warnings():
+        # A header-only file is a valid empty trace list, and a blank line is
+        # skipped without counting towards a block.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        warnings.filterwarnings("ignore", r"Input line \d+ contained no data")
+        for block in _read_blocks(fh):
+            for ray_id in np.unique(block["ray"]).tolist():
+                rows = block[block["ray"] == ray_id]
+                z, incident, reflected, medium_ids = parts.setdefault(ray_id, ([], [], [], []))
+                z.append(rows["z"].copy())
+                incident.append(_complex(rows["incident_re"], rows["incident_im"]))
+                reflected.append(_complex(rows["reflected_re"], rows["reflected_im"]))
+                medium_ids.append(list(map(medium.__getitem__, rows["medium"].tolist())))
+    return parts
 
 
 def _read_blocks(fh):
@@ -295,11 +499,13 @@ def write_report(path, report: DetectionReport) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(REPORT_COLUMNS) + "\n")
         position = ";".join(["%.17g"] * hits.position.shape[1])
-        _write_rows(
-            fh, _INTERFACE_ROW.format(position=position), hits.ray_id, hits.z, *hits.position.T,
-            hits.t.real, hits.t.imag, hits.r.real, hits.r.imag, *hits.pair.T, hits.residual,
-        )
-        _write_rows(fh, _VERTEX_ROW, *vertex)
+        _write_body(fh, [
+            (_INTERFACE_ROW.format(position=position), (
+                hits.ray_id, hits.z, *hits.position.T, hits.t.real, hits.t.imag,
+                hits.r.real, hits.r.imag, *hits.pair.T, hits.residual,
+            )),
+            (_VERTEX_ROW, tuple(vertex)),
+        ])
     meta = {
         "kind": "report",
         "version": FORMAT_VERSION,

@@ -132,6 +132,10 @@ LINE = [(0.0,), (1.0,)]
      "simplices 0 and 1 fold over facet (1, 2)"),
     (1, [(0.0,), (999.0,), (0.55,), (1.0,)], [(0, 1), (1, 2), (2, 3)], GeometryError,
      "simplices 0 and 1 fold over facet (1,)"),
+    # the edge of simplex (0, 1) overflows; numpy's overflow warning would
+    # be an error here, and the old text called the simplex flat
+    (1, [(-1e308,), (1e308,), (1.5e308,)], [(0, 1), (1, 2)], GeometryError,
+     "simplex (0, 1) spans more than the float range"),
 ])
 def test_build_complex_error_texts(dimension, vertices, simplices, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

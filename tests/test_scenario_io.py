@@ -5,11 +5,14 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +20,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polywave import traceio
 from polywave.acoustic import AcousticMedium
 from polywave.detect import (
     DetectionReport,
     FieldTrace,
     InterfaceHit,
+    InterfaceHits,
     Ray,
     VertexHit,
 )
@@ -1130,3 +1135,328 @@ def test_report_schema_mismatches(tmp_path):
         read_report(bad)
     with pytest.raises(SchemaMismatch):
         read_report(tmp_path / "never_written.csv")
+
+
+# ---------------------------------------------------------------------------
+# bodies in shares: forked children render and parse all shares but one
+
+
+@contextmanager
+def cpus(n: int):
+    """The share rule sees n usable CPUs; yields the list of fork results
+    seen by the calling process, one per child forked."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(real_fork())
+        return forks[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        patch.setattr(os, "fork", fork)
+        yield forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def expected_forks(rows: int, n: int) -> int:
+    return min(n, 4) - 1 if rows >= 2 * _BLOCK_ROWS else 0
+
+
+def random_columns(rng, n: int, k: int) -> np.ndarray:
+    """(k, n) floats, about a third of them nan, infinities, signed zeros,
+    a subnormal or extremes."""
+    return np.where(
+        rng.random((k, n)) < 0.3,
+        SPECIAL_FLOATS[rng.integers(0, len(SPECIAL_FLOATS), (k, n))],
+        rng.standard_normal((k, n)) * 10.0 ** rng.integers(-300, 300, (k, n)),
+    )
+
+
+def share_borders(n: int, cpus: int) -> list[int]:
+    shares = min(cpus, 4)
+    return [n * i // shares for i in range(1, shares)]
+
+
+@settings(deadline=None, max_examples=8)
+@example(n=2, shift=-4, seed=0)  # the report one row short of the share threshold
+@example(n=4, shift=0, seed=1)  # exactly at the threshold, four shares
+@given(
+    n=st.integers(min_value=2, max_value=5),
+    shift=st.integers(min_value=-5, max_value=2 * _BLOCK_ROWS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_writes_in_shares_give_the_one_share_bytes(n, shift, seed):
+    """Row counts around the share threshold and rays that end next to the
+    share borders, with quoted medium ids and criteria on both sides of each
+    border: a trace file and a report written by n processes hold the bytes
+    of one written by one."""
+    rows = 2 * _BLOCK_ROWS + shift
+    rng = np.random.default_rng(seed)
+    values = random_columns(rng, rows, 5)
+    medium = [MEDIUM_IDS[i] for i in rng.integers(0, len(MEDIUM_IDS), rows)]
+    ends = {rows}
+    for border in share_borders(rows, n):
+        medium[border - 2:border + 2] = ["a,b", "p\nq", 'x"y', 12]
+        ends.add(border + int(rng.integers(-1, 2)))
+    ends = sorted(ends)
+    # rays in descending id order: the writer sorts them
+    traces = [
+        FieldTrace(
+            ray=UNIT_RAY, z=values[0, a:b],
+            incident=traceio._complex(values[1, a:b], values[2, a:b]),
+            reflected=traceio._complex(values[3, a:b], values[4, a:b]),
+            medium_ids=tuple(medium[a:b]), wave_kind="em", ray_id=len(ends) - i,
+        )
+        for i, (a, b) in enumerate(zip([0] + ends, ends))
+    ]
+    columns = random_columns(rng, rows, 9)
+    hits = InterfaceHits(
+        ray_id=rng.integers(0, 5, rows), z=columns[0], position=columns[1:3].T,
+        t=traceio._complex(columns[3], columns[4]), r=traceio._complex(columns[5], columns[6]),
+        pair=columns[7:9].T, residual=np.abs(columns[0]),
+    )
+    vertices = [
+        VertexHit(position=(0.5, -0.0), criterion=criterion, residual=1e-9, ray_ids=(0, 3),
+                  degenerate=False)
+        for criterion in ("fwm", "a,b", 'x"y')
+    ]
+    report = DetectionReport(interface_hits=hits, vertex_hits=vertices, params_used={"tol": 0.1})
+    with tempfile.TemporaryDirectory() as d:
+        one, many = Path(d) / "one.csv", Path(d) / "many.csv"
+        with cpus(1) as forks:
+            write_traces(one, traces)
+            write_report(sidecar_path(one), report)
+        assert forks == []
+        with cpus(n) as forks:
+            write_traces(many, traces)
+            write_report(sidecar_path(many), report)
+        assert len(forks) == expected_forks(rows, n) + expected_forks(rows + len(vertices), n)
+        assert_no_child_left()
+        assert many.read_bytes() == one.read_bytes()
+        assert sidecar_path(many).read_bytes() == sidecar_path(one).read_bytes()
+
+
+def trace_body(rng, rows: int, medium: list) -> str:
+    """Rows of three rays interleaved in random order, ray 0 absent from
+    the first block, rendered as csv.writer renders them."""
+    values = random_columns(rng, rows, 5)
+    ray_ids = rng.integers(0, 3, rows)
+    ray_ids[:_BLOCK_ROWS] = ray_ids[:_BLOCK_ROWS] % 2 + 1
+    records = io.StringIO()
+    writer = csv.writer(records, lineterminator="\n")
+    for ray_id, fields, medium_id in zip(ray_ids.tolist(), values.T.tolist(), medium):
+        writer.writerow([ray_id, *map(repr, fields), medium_id])
+    return ",".join(TRACE_COLUMNS) + "\n" + records.getvalue()
+
+
+def read_with(path, n: int):
+    with cpus(n) as forks:
+        back, _ = read_traces(path)
+    assert_no_child_left()
+    return back, len(forks)
+
+
+def assert_same_traces(got, want):
+    assert [tr.ray_id for tr in got] == [tr.ray_id for tr in want]
+    for a, b in zip(got, want):
+        for name in ("z", "incident", "reflected"):
+            assert np.array_equal(bits(getattr(a, name).view(float)),
+                                  bits(getattr(b, name).view(float)))
+        assert a.medium_ids == b.medium_ids
+        assert list(map(type, a.medium_ids)) == list(map(type, b.medium_ids))
+
+
+@settings(deadline=None, max_examples=10)
+@example(n=2, shift=0, seed=0, quoted=False)
+@example(n=4, shift=_BLOCK_ROWS, seed=1, quoted=True)
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    shift=st.integers(min_value=-3, max_value=2 * _BLOCK_ROWS),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    quoted=st.booleans(),
+)
+def test_reads_in_shares_give_the_one_share_traces(n, shift, seed, quoted):
+    """Interleaved rays, unquoted ids before the first cut and, optionally,
+    ids holding a comma, a quote and a newline after it: n processes read
+    the traces bit for bit as one does."""
+    rows = 2 * _BLOCK_ROWS + shift
+    rng = np.random.default_rng(seed)
+    plain = [i for i in MEDIUM_IDS if not re.search('[,"\n]', str(i))]
+    medium = [plain[i] for i in rng.integers(0, len(plain), rows)]
+    if quoted:
+        # before the second share border and in the last row: the first cut
+        # comes before them all, and a cut after any of them is dropped
+        for border in share_borders(rows, n)[1:] + [rows - 1]:
+            medium[border - 1:border + 1] = ["a,b", "p\nq"]
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "traces.csv"
+        write_traces(path, em_traces_from_rows([(r, 0.0, 1.0, 0.0, 0.0, 0.0, 0) for r in range(3)]))
+        path.write_text(trace_body(rng, rows, medium))
+        one, forks = read_with(path, 1)
+        assert forks == 0
+        many, forks = read_with(path, n)
+    if not quoted:
+        assert forks == expected_forks(rows, n)
+    elif rows >= 2 * _BLOCK_ROWS:
+        assert 1 <= forks <= expected_forks(rows, n)
+    assert_same_traces(many, one)
+
+
+def test_quote_before_the_first_cut_reads_as_one_share(tmp_path):
+    """A quoted id may hold a newline, so a cut after a quote could fall
+    inside a row: a body with a quote before its first cut is one share."""
+    rng = np.random.default_rng(3)
+    rows = 4 * _BLOCK_ROWS
+    medium = [int(i) for i in rng.integers(0, 40, rows)]
+    medium[5:8] = ["p\nq", 'x"y', "a,b"]
+    path = tmp_path / "traces.csv"
+    write_traces(path, em_traces_from_rows([(r, 0.0, 1.0, 0.0, 0.0, 0.0, 0) for r in range(3)]))
+    path.write_text(trace_body(rng, rows, medium))
+    one, _ = read_with(path, 1)
+    many, forks = read_with(path, 4)
+    assert forks == 0
+    assert_same_traces(many, one)
+    assert sum(tr.medium_ids.count("p\nq") for tr in one) == 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("row", [5, 2 * _BLOCK_ROWS + 7])
+def test_garbled_row_in_a_child_share_raises_the_one_share_text(tmp_path, n, row):
+    """The first share is always a child's: its garbled row is named by its
+    row in the whole body, as a one-share read names it."""
+    path = tmp_path / "traces.csv"
+    write_traces(path, [long_trace(0, 8 * _BLOCK_ROWS)])
+    lines = path.read_text().splitlines()
+    lines[row] = lines[row].replace(",", ",x", 1)
+    path.write_text("\n".join(lines) + "\n")
+    texts = []
+    for cpus_seen in (1, n):
+        with cpus(cpus_seen) as forks, pytest.raises(SchemaMismatch) as err:
+            read_traces(path)
+        assert len(forks) == expected_forks(8 * _BLOCK_ROWS, cpus_seen)
+        assert_no_child_left()
+        texts.append(str(err.value))
+    assert texts[0] == texts[1]
+    assert f"at row {row - 1}, column 2." in texts[0]
+
+
+def test_failed_children_leave_the_one_share_bytes_and_traces(tmp_path):
+    """A child whose rendering or parsing raises, and a fork that fails: the
+    parent renders that share itself, or reads the body again alone."""
+    traces = [long_trace(ray_id, 3 * _BLOCK_ROWS + 11 * ray_id) for ray_id in (4, 1)]
+    one = tmp_path / "one.csv"
+    with cpus(1):
+        write_traces(one, traces)
+        want, _ = read_traces(one)
+    parent = os.getpid()
+
+    def in_children_only(function):
+        def failing(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("a child fails")
+            return function(*args)
+        return failing
+
+    for name, function in [("_write_rows", traceio._write_rows),
+                           ("_parse_share", traceio._parse_share)]:
+        with pytest.MonkeyPatch.context() as patch, cpus(3) as forks:
+            patch.setattr(traceio, name, in_children_only(function))
+            many = tmp_path / f"{name}.csv"
+            write_traces(many, traces)
+            got, _ = read_traces(many)
+        assert len(forks) == 4
+        assert_no_child_left()
+        assert many.read_bytes() == one.read_bytes()
+        assert_same_traces(got, want)
+
+    def no_fork():
+        raise OSError("fork refused")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        patch.setattr(os, "fork", no_fork)
+        many = tmp_path / "no-fork.csv"
+        write_traces(many, traces)
+        got, _ = read_traces(many)
+    assert many.read_bytes() == one.read_bytes()
+    assert_same_traces(got, want)
+
+
+def test_without_fork_a_body_is_one_share_read_without_pread(tmp_path):
+    """Where os.fork is missing (Windows), so is os.pread."""
+    traces = [long_trace(0, 4 * _BLOCK_ROWS)]
+    one = tmp_path / "one.csv"
+    with cpus(1):
+        write_traces(one, traces)
+        want, _ = read_traces(one)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        patch.delattr(os, "fork")
+        patch.delattr(os, "pread")
+        path = tmp_path / "traces.csv"
+        write_traces(path, traces)
+        got, _ = read_traces(path)
+    assert path.read_bytes() == one.read_bytes()
+    assert_same_traces(got, want)
+
+
+def test_interrupt_in_the_parent_kills_and_reaps_every_child(tmp_path):
+    parent = os.getpid()
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    real = traceio._write_rows
+    with pytest.MonkeyPatch.context() as patch, cpus(4) as forks:
+        patch.setattr(traceio, "_write_rows", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            write_traces(tmp_path / "traces.csv", [long_trace(0, 4 * _BLOCK_ROWS)])
+    assert len(forks) == 3
+    assert_no_child_left()
+
+
+def test_another_thread_keeps_one_share(tmp_path):
+    """A forked child would inherit any lock another thread holds."""
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        with cpus(4) as forks:
+            write_traces(tmp_path / "traces.csv", [long_trace(0, 4 * _BLOCK_ROWS)])
+            read_traces(tmp_path / "traces.csv")
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+
+
+def test_forked_write_and_read_warn_nothing(tmp_path):
+    """Python 3.12 warns on each fork of a process that runs a second OS
+    thread, as numpy's BLAS pool is; the fork here warns the same way on
+    every version."""
+    real_fork = os.fork
+
+    def fork():
+        warnings.warn(
+            f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead "
+            "to deadlocks in the child.", DeprecationWarning, stacklevel=2,
+        )
+        return real_fork()
+
+    path = tmp_path / "traces.csv"
+    with warnings.catch_warnings(record=True) as caught, pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("always")
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        patch.setattr(os, "fork", fork)
+        write_traces(path, [long_trace(0, 4 * _BLOCK_ROWS)])
+        read_traces(path)
+    assert [str(w.message) for w in caught] == []
+    assert_no_child_left()
