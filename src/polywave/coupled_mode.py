@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# A fixed-step grid (integrate_coupled_modes, fwm.integrate_signal) takes at
-# most this many steps, the bound of a ray (detect.MAX_RAY_STEPS); a finer
-# grid is refused before it is allocated
+# A fixed-step grid (integrate_coupled_modes, fwm.integrate_signal) or a ray
+# (detect.Ray) takes at most this many steps; a finer grid is refused before
+# it is allocated
 MAX_GRID_STEPS = 1_000_000
 
 

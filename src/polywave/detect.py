@@ -54,11 +54,6 @@ class TooFewTraces(ValueError):
     pass
 
 
-# A ray spans at most this many grid steps (1,000,001 samples); a finer grid
-# is refused before synthesis allocates it.
-MAX_RAY_STEPS = 1_000_000
-
-
 @dataclass(frozen=True)
 class Ray:
     origin: tuple[float, ...]
@@ -80,9 +75,13 @@ class Ray:
             raise ValueError(f"grid_step must be > 0, got {self.grid_step}")
         if self.length < self.grid_step:
             raise ValueError("length must cover at least one grid step")
+        # at most MAX_GRID_STEPS steps (1,000,001 samples): a finer grid is
+        # refused before synthesis allocates it
         steps = self.length / self.grid_step
-        if steps > MAX_RAY_STEPS:
-            raise ValueError(f"length / grid_step must be <= {MAX_RAY_STEPS}, got {steps:.6g}")
+        if steps > _cm.MAX_GRID_STEPS:
+            raise ValueError(
+                f"length / grid_step must be <= {_cm.MAX_GRID_STEPS}, got {steps:.6g}"
+            )
 
     def point_at(self, z: float) -> tuple[float, ...]:
         return tuple(o + z * d for o, d in zip(self.origin, self.direction))
@@ -227,25 +226,30 @@ def _march(c: SimplicialComplex, ray: Ray):
     different media; segment_simplices has one simplex index per
     inter-crossing segment, starting at z=0.  Facets between simplices of
     the same medium are crossed without a record or an incidence check.
+
+    One pass over every simplex's local facets builds the exit table: the
+    exit that exit_of(s, t) gives when all of s's leaving facets lie past
+    t + eps_t, with the smallest leaving t (t_low) that says when it
+    applies.  The walk reads the table where it applies and calls exit_of
+    where it does not (a ray entering through a vertex or along a facet),
+    as the search for the start simplex does; both give the same bits.
     """
     origin = np.asarray(ray.origin, dtype=float)
     direction = np.asarray(ray.direction, dtype=float)
-    eps_t = 1e-12 * max(1.0, ray.length)
+    eps_t = 1e-12 * ray.length
 
-    # barycentric coordinates lam(t) = lam0 + t*lam_d along the ray, and the
-    # cosine between the ray and each facet normal, for every simplex
+    # barycentric coordinates lam(t) = lam0 + t*lam_d along the ray, for
+    # every simplex; a facet j is leaving where lam_d[j] < 0, at t_j
     lam0_all = c.inverse @ np.concatenate(([1.0], origin))
     # containing simplices of the origin, lowest index first
     containing = np.flatnonzero(np.min(lam0_all, axis=1) >= -1e-9).tolist()
     if not containing:
         raise RayOutsideComplex(f"ray origin {ray.origin} lies outside the complex")
-    lam0 = lam0_all.tolist()
-    lam_d = (c.inverse @ np.concatenate(([0.0], direction))).tolist()
-    cosine = (c.normal @ direction).tolist()
-    neighbour = c.neighbour.tolist()
+    lam_d_all = c.inverse @ np.concatenate(([0.0], direction))
+    cosine_all = c.normal @ direction
 
     def exit_of(idx: int, t_enter: float):
-        l0, ld = lam0[idx], lam_d[idx]
+        l0, ld = lam0_all[idx].tolist(), lam_d_all[idx].tolist()
         t_exit, j_exit = math.inf, -1
         for j in range(len(l0)):
             if ld[j] < -1e-300:
@@ -256,6 +260,27 @@ def _march(c: SimplicialComplex, ray: Ray):
                     j_exit = -2  # simultaneous facet exit: codim-2 graze
         return t_exit, j_exit
 
+    count = len(c.simplices)
+    table_t = np.full(count, math.inf)
+    table_j = np.full(count, -1)
+    t_low = np.full(count, math.inf)
+    # the same IEEE operations as exit_of, which raise no warning in Python
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j, (l0, ld) in enumerate(zip(lam0_all.T, lam_d_all.T)):
+            leaving = ld < -1e-300
+            t_j = np.where(leaving, -l0 / ld, math.inf)
+            earlier = leaving & (t_j < table_t - eps_t)
+            graze = leaving & ~earlier & (np.abs(t_j - table_t) <= eps_t)
+            table_t = np.where(earlier, t_j, table_t)
+            table_j = np.where(earlier, j, np.where(graze, -2, table_j))
+            t_low = np.minimum(t_low, t_j)  # a NaN t_j sends s to exit_of
+    rows = np.arange(count)
+    facet_j = np.maximum(table_j, 0)
+    table = list(zip(
+        t_low.tolist(), table_t.tolist(), table_j.tolist(),
+        c.neighbour[rows, facet_j].tolist(), cosine_all[rows, facet_j].tolist(),
+    ))
+
     current = None
     for idx in containing:
         t_exit, j_exit = exit_of(idx, 0.0)
@@ -265,24 +290,29 @@ def _march(c: SimplicialComplex, ray: Ray):
     if current is None:
         raise RayOutsideComplex("ray cannot advance from its origin")
 
+    media, simplices = c.media, c.simplices
     crossings = []
     segment_simplices = [current]
     t = 0.0
-    for _ in range(len(c.simplices) + 1):
-        t_exit, j_exit = exit_of(current, t)
+    for _ in range(count + 1):
+        low, t_exit, j_exit, nxt, cosine = table[current]
+        if not low > t + eps_t:
+            t_exit, j_exit = exit_of(current, t)
+            # read only when j_exit >= 0
+            nxt = int(c.neighbour[current, j_exit])
+            cosine = float(cosine_all[current, j_exit])
         if j_exit == -2:
             raise RayOutsideComplex(
                 "ray exits through a face of codimension >= 2 (ambiguous)"
             )
         if t_exit >= ray.length - eps_t:
             return crossings, segment_simplices
-        nxt = neighbour[current][j_exit]
-        if nxt >= 0 and c.media[nxt] == c.media[current]:
+        if nxt >= 0 and media[nxt] == media[current]:
             current, t = nxt, t_exit
             continue
-        simplex = c.simplices[current]
+        simplex = simplices[current]
         facet = simplex[:j_exit] + simplex[j_exit + 1:]
-        if abs(cosine[current][j_exit]) <= 1.0 - 1e-9:
+        if abs(cosine) <= 1.0 - 1e-9:
             raise ObliqueCrossing(
                 f"ray crosses facet {facet} at z={t_exit:.6g} away from normal"
             )
@@ -315,11 +345,14 @@ def synthesize_ray_trace(
     """
     if not c.media:
         raise GeometryError("complex carries no media map")
-    kinds = {isinstance(m, _fr.EmMedium) for m in media.values()}
+    # checked per record class, not per record: a config's media map holds
+    # one entry per simplex
+    classes = set(map(type, media.values()))
+    kinds = {issubclass(cls, _fr.EmMedium) for cls in classes}
     if len(kinds) != 1:
         raise ValueError("media mix EM and acoustic records")
     is_em = kinds.pop()
-    if not is_em and not all(isinstance(m, _ac.AcousticMedium) for m in media.values()):
+    if not is_em and not all(issubclass(cls, _ac.AcousticMedium) for cls in classes):
         raise ValueError("media must be EmMedium or AcousticMedium records")
 
     wave_kind = "em" if is_em else "acoustic"

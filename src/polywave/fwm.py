@@ -20,12 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupled_mode import MAX_GRID_STEPS, check_grid
+from .coupled_mode import check_grid
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 MU0_EPS0 = 1.0 / SPEED_OF_LIGHT**2
-# integrate_signal's bound on its grid, shared with integrate_coupled_modes
-MAX_SIGNAL_STEPS = MAX_GRID_STEPS
 
 
 class ZeroMismatch(ValueError):

@@ -8,7 +8,9 @@ one are the boundary.  Facet identity is the sorted vertex-index tuple, so
 orientation is never tracked.  Facets are paired once, by sorting: cofaces
 of a facet become adjacent rows.  build_complex also builds the per-simplex
 arrays that ray marching reads (barycentric inverses, facet normals and the
-neighbour across each facet), so a complex is one record.
+neighbour across each facet), so a complex is one record.  Input is checked
+in arrays; input that fails a check is read again vertex by vertex and
+simplex by simplex, so that an error names the first bad one in input order.
 """
 
 from __future__ import annotations
@@ -109,23 +111,32 @@ def _facet_incidence(simplices: tuple[Simplex, ...]) -> dict[Simplex, list[int]]
     return incidence
 
 
-def build_complex(
-    dimension: int,
-    vertices,
-    simplices,
-    media: dict | None = None,
-) -> SimplicialComplex:
-    """Validate and canonicalize a complex.
+def _checked_arrays(dimension: int, vertices, simplices):
+    """(points, table) for input that passes every check of _checked_loop:
+    the vertex coordinates and each simplex's sorted vertex indices, checked
+    in arrays.  None where a conversion raises (ragged rows, an index past
+    int64) or a check fails, for the loop to name the first error."""
+    try:
+        points = np.array(vertices, dtype=float)
+        table = np.array(simplices, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError, RuntimeWarning):  # NaN cast to int warns
+        return None
+    if (points.ndim != 2 or points.shape[1] != dimension or not len(points)
+            or not np.isfinite(points).all()
+            or table.ndim != 2 or table.shape[1] != dimension + 1 or not len(table)):
+        return None
+    table.sort(axis=1)
+    rows = table[np.lexsort(table.T[::-1])]
+    if (np.any(table[:, 1:] == table[:, :-1]) or table[:, 0].min() < 0
+            or table[:, -1].max() >= len(points) or np.all(rows[1:] == rows[:-1], axis=1).any()):
+        return None
+    return points, table
 
-    Vertex-index tuples are stored sorted.  Raises DegenerateSimplex for a
-    zero-volume simplex, FacetOvercount when a facet has more than two
-    cofaces, DimensionalInhomogeneity for a vertex used by no simplex, and
-    GeometryError for a non-finite coordinate, malformed indices,
-    duplicates, a simplex wider than the float range, an incomplete media
-    map, or two simplices that fold over their shared facet.
-    """
-    if dimension < 1:
-        raise GeometryError(f"dimension must be >= 1, got {dimension}")
+
+def _checked_loop(dimension: int, vertices, simplices):
+    """_checked_arrays' result, read vertex by vertex and simplex by simplex:
+    raises for the first bad vertex or simplex in input order, checking
+    indices as Python ints."""
     verts = tuple(tuple(float(x) for x in v) for v in vertices)
     if not verts:
         raise GeometryError("empty vertex list")
@@ -154,8 +165,31 @@ def build_complex(
         canonical.append(tuple(sorted(s)))
     if len(set(canonical)) != len(canonical):
         raise GeometryError("duplicate simplex (same vertex set listed twice)")
+    return points, np.array(canonical, dtype=np.int64)
 
-    table = np.array(canonical)
+
+def build_complex(
+    dimension: int,
+    vertices,
+    simplices,
+    media: dict | None = None,
+) -> SimplicialComplex:
+    """Validate and canonicalize a complex.
+
+    Vertex-index tuples are stored sorted.  Raises DegenerateSimplex for a
+    zero-volume simplex, FacetOvercount when a facet has more than two
+    cofaces, DimensionalInhomogeneity for a vertex used by no simplex, and
+    GeometryError for a non-finite coordinate, malformed indices,
+    duplicates, a simplex wider than the float range, an incomplete media
+    map, or two simplices that fold over their shared facet.
+    """
+    if dimension < 1:
+        raise GeometryError(f"dimension must be >= 1, got {dimension}")
+    points, table = (_checked_arrays(dimension, vertices, simplices)
+                     or _checked_loop(dimension, vertices, simplices))
+    verts = tuple(map(tuple, points.tolist()))
+    canonical = list(map(tuple, table.tolist()))
+
     corners = points[table]  # (S, n+1, n)
     with np.errstate(over="ignore"):
         edges = corners[:, 1:] - corners[:, :1]
@@ -171,8 +205,7 @@ def build_complex(
 
     neighbour = _neighbours(table)
 
-    used = set(itertools.chain.from_iterable(canonical))
-    orphans = sorted(set(range(len(verts))) - used)
+    orphans = np.flatnonzero(np.bincount(table.ravel(), minlength=len(verts)) == 0).tolist()
     if orphans:
         raise DimensionalInhomogeneity(
             f"vertices {orphans} belong to no {dimension}-simplex"

@@ -401,10 +401,15 @@ def load_scenario_text(text: str, flags=None) -> Scenario:
     geometry, _, _ = _section(sections, "geometry")
     media_keys, medium_entries, kinds = _section(sections, "media")
     medium_class, medium_tokens = kinds[media_keys["wave_kind"]]
-    media = {
-        i: _build(medium_class, _tokens(entry, key, medium_tokens, _given(entry, key)), entry, key)
-        for i, (key, entry) in enumerate(medium_entries)
-    }
+    # entries with the same value text share one (frozen) record; the first
+    # of them is read, so a bad entry fails at its own line and column
+    records = {}
+    media = {}
+    for i, (key, entry) in enumerate(medium_entries):
+        if entry[0] not in records:
+            fields = _tokens(entry, key, medium_tokens, _given(entry, key))
+            records[entry[0]] = _build(medium_class, fields, entry, key)
+        media[i] = records[entry[0]]
     if len(media) != len(geometry["simplices"]):
         count = f"{len(media)} media for {len(geometry['simplices'])} simplices"
         _fail(sections["media"][""], f"{count}; every simplex needs one")

@@ -137,6 +137,27 @@ def _write_rows(fh, template: str, *columns: np.ndarray) -> None:
         fh.write("".join(map(template.__mod__, zip(*chunk))))
 
 
+class _Fields:
+    """A column of CSV fields, fields[v] for each v of values[span], looked
+    up by tolist() alone: _write_rows asks for one block's list at a time,
+    so no column of fields is built before the rows are rendered."""
+
+    def __init__(self, values, fields: dict, span: range | None = None):
+        self.values = values
+        self.fields = fields
+        self.span = range(len(values)) if span is None else span
+
+    def __len__(self) -> int:
+        return len(self.span)
+
+    def __getitem__(self, index: slice) -> _Fields:
+        return _Fields(self.values, self.fields, self.span[index])
+
+    def tolist(self) -> list:
+        span = self.span
+        return list(map(self.fields.__getitem__, self.values[span.start:span.stop]))
+
+
 def _share_count(rows: int) -> int:
     """Shares for a body of at least `rows` rows (see the module docstring)."""
     if (rows < 2 * _BLOCK_ROWS or not hasattr(os, "fork")
@@ -264,7 +285,7 @@ def write_traces(path, traces, extra_meta: dict | None = None) -> None:
         _write_body(fh, [
             (str(tr.ray_id) + _TRACE_ROW, (
                 tr.z, tr.incident.real, tr.incident.imag, tr.reflected.real, tr.reflected.imag,
-                np.array([medium[m] for m in tr.medium_ids], dtype=object),
+                _Fields(tr.medium_ids, medium),
             ))
             for tr in traces
         ])

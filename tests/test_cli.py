@@ -19,6 +19,7 @@ from polywave import cli, detect, traceio
 from polywave import fwm as fwm_mod
 from polywave import scenario as sc
 from polywave.coupled_mode import (
+    MAX_GRID_STEPS,
     CascadeSpec,
     CouplerStage,
     DelayStage,
@@ -352,7 +353,7 @@ def readme_config(tmp_path, old="", new=""):
 
 @pytest.mark.parametrize("step, steps", [("1e-12", "9.99e+11"), ("1e-320", "inf")])
 def test_ray_of_too_many_samples_exit_2(step, steps, tmp_path, capsys, monkeypatch):
-    """A grid_step that puts more than MAX_RAY_STEPS steps on a ray is a config
+    """A grid_step that puts more than MAX_GRID_STEPS steps on a ray is a config
     error at the ray's line, raised before synthesis allocates a sample."""
     def never(*args, **kwargs):
         raise AssertionError("synthesis ran")
@@ -365,7 +366,7 @@ def test_ray_of_too_many_samples_exit_2(step, steps, tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err == (
         f"config error: line {line}, col 8: ray.0: length / grid_step must be <= "
-        f"{detect.MAX_RAY_STEPS}, got {steps}\n"
+        f"{MAX_GRID_STEPS}, got {steps}\n"
     )
     assert not (tmp_path / "x.csv").exists()
 
@@ -636,6 +637,28 @@ def test_rod_near_the_float_range_runs_quietly(tmp_path, capsys):
     and refused the rod as having zero volume (exit 3)."""
     cfg, traces = tmp_path / "huge.cfg", tmp_path / "traces.csv"
     cfg.write_text(HUGE_ROD)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(traces)]) == 0
+        assert cli.main(["detect", "--config", str(cfg), "--traces", str(traces),
+                         "--out", str(tmp_path / "report.csv")]) == 0
+    assert capsys.readouterr().out == "interface_hits=1 vertex_hits=0\n"
+
+
+TINY_ROD = (
+    HUGE_ROD.replace("1e160 | 3e160", "1e-170 | 3e-170")
+    .replace("origin=1e159", "origin=1e-171")
+    .replace("length=2e160 grid_step=1e158", "length=2e-170 grid_step=1e-172")
+)
+
+
+def test_rod_far_below_unit_scale_marches(tmp_path, capsys):
+    """The march's time threshold was 1e-12 of at least 1.0, so on a rod at
+    1e-170 every exit lay within it and simulate exited 3 with 'ray cannot
+    advance from its origin'; it is now 1e-12 of the ray's length."""
+    assert "vertices = 0.0 | 1e-170 | 3e-170" in TINY_ROD
+    cfg, traces = tmp_path / "tiny.cfg", tmp_path / "traces.csv"
+    cfg.write_text(TINY_ROD)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(traces)]) == 0

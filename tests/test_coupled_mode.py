@@ -25,7 +25,6 @@ from polywave.coupled_mode import (
     integrate_coupled_modes,
     rk4_step_matrix,
 )
-from polywave.detect import MAX_RAY_STEPS
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -91,7 +90,6 @@ def test_integrate_coupled_modes_refuses_too_many_steps_before_building_the_grid
     p = CoupledModeParams(beta1=1.0, beta2=1.0, kappa12=0.1, kappa21=0.1)
     with pytest.raises(ValueError, match=re.escape(f"z_max / step must be <= 1000000, got {steps}")):
         integrate_coupled_modes(p, z_max, step)
-    assert MAX_GRID_STEPS == MAX_RAY_STEPS
 
 
 def test_default_step_used_when_omitted():

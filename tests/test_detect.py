@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from polywave import detect as detect_module
 from polywave.acoustic import AcousticMedium
 from polywave.coupled_mode import (
+    MAX_GRID_STEPS,
     CascadeSpec,
     CoupledModeParams,
     CouplerStage,
@@ -23,7 +24,6 @@ from polywave.coupled_mode import (
 )
 from polywave.detect import (
     FIT_BUDGET,
-    MAX_RAY_STEPS,
     STALL_FACTOR,
     DetectionReport,
     FieldTrace,
@@ -281,6 +281,145 @@ def test_ray_through_codimension_two_face_rejected():
         )
 
 
+def reference_march(c, ray):
+    """The walk before the exit table, kept as an oracle: exit_of at every
+    step, over (S, n+1) lists of every simplex's coordinates."""
+    origin = np.asarray(ray.origin, dtype=float)
+    direction = np.asarray(ray.direction, dtype=float)
+    eps_t = 1e-12 * ray.length
+
+    lam0_all = c.inverse @ np.concatenate(([1.0], origin))
+    containing = np.flatnonzero(np.min(lam0_all, axis=1) >= -1e-9).tolist()
+    if not containing:
+        raise RayOutsideComplex(f"ray origin {ray.origin} lies outside the complex")
+    lam0 = lam0_all.tolist()
+    lam_d = (c.inverse @ np.concatenate(([0.0], direction))).tolist()
+    cosine = (c.normal @ direction).tolist()
+    neighbour = c.neighbour.tolist()
+
+    def exit_of(idx, t_enter):
+        l0, ld = lam0[idx], lam_d[idx]
+        t_exit, j_exit = math.inf, -1
+        for j in range(len(l0)):
+            if ld[j] < -1e-300:
+                t_j = -l0[j] / ld[j]
+                if t_j > t_enter + eps_t and t_j < t_exit - eps_t:
+                    t_exit, j_exit = t_j, j
+                elif t_j > t_enter + eps_t and abs(t_j - t_exit) <= eps_t:
+                    j_exit = -2
+        return t_exit, j_exit
+
+    current = None
+    for idx in containing:
+        t_exit, j_exit = exit_of(idx, 0.0)
+        if j_exit >= 0 and t_exit > eps_t:
+            current = idx
+            break
+    if current is None:
+        raise RayOutsideComplex("ray cannot advance from its origin")
+
+    crossings = []
+    segment_simplices = [current]
+    t = 0.0
+    for _ in range(len(c.simplices) + 1):
+        t_exit, j_exit = exit_of(current, t)
+        if j_exit == -2:
+            raise RayOutsideComplex(
+                "ray exits through a face of codimension >= 2 (ambiguous)"
+            )
+        if t_exit >= ray.length - eps_t:
+            return crossings, segment_simplices
+        nxt = neighbour[current][j_exit]
+        if nxt >= 0 and c.media[nxt] == c.media[current]:
+            current, t = nxt, t_exit
+            continue
+        simplex = c.simplices[current]
+        facet = simplex[:j_exit] + simplex[j_exit + 1:]
+        if abs(cosine[current][j_exit]) <= 1.0 - 1e-9:
+            raise ObliqueCrossing(
+                f"ray crosses facet {facet} at z={t_exit:.6g} away from normal"
+            )
+        if nxt < 0:
+            raise RayOutsideComplex(
+                f"ray leaves the complex through boundary facet {facet} at z={t_exit:.6g}"
+            )
+        crossings.append((t_exit, facet, current, nxt))
+        segment_simplices.append(nxt)
+        current, t = nxt, t_exit
+    raise RayOutsideComplex("ray marching did not terminate")
+
+
+def outcome(march, c, ray):
+    """What a march returns, or the type and text of what it raises."""
+    try:
+        return march(c, ray)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def rods_with_runs(draw):
+    """A 1-D rod of random segment lengths whose media come in runs, and a
+    ray along it that may start on a vertex and may leave the rod."""
+    n = draw(st.integers(1, 12))
+    gaps = draw(st.lists(st.floats(0.01, 3.0), min_size=n, max_size=n))
+    x = np.concatenate([[0.0], np.cumsum(gaps)]).tolist()
+    runs = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    c = build_complex(1, [(v,) for v in x], [(i, i + 1) for i in range(n)],
+                      media=dict(enumerate(runs)))
+    if draw(st.booleans()):
+        origin = x[draw(st.integers(0, n))]
+    else:
+        origin = draw(st.floats(-0.5, x[-1] + 0.5))
+    direction = draw(st.sampled_from([1.0, -1.0]))
+    length = draw(st.floats(0.02, x[-1] + 1.0))
+    return c, Ray(origin=(origin,), direction=(direction,), length=length, grid_step=0.01)
+
+
+@st.composite
+def grids_with_blocks(draw):
+    """An n x m grid of right triangles (each cell cut along its rising
+    diagonal) with media in axis-aligned blocks, and a ray whose origin may
+    lie on a vertex, an edge or a diagonal.  The ray is axis-parallel, or
+    runs along falling diagonals through the vertices, where it leaves a
+    triangle through a corner (a graze) or crosses a block edge obliquely."""
+    n = draw(st.integers(1, 5))
+    m = n if draw(st.booleans()) else draw(st.integers(1, 5))
+    x_cuts = draw(st.lists(st.integers(1, n), min_size=1, max_size=2))
+    y_cuts = draw(st.lists(st.integers(1, m), min_size=1, max_size=2))
+    # nine blocks in k media: neighbouring blocks mostly differ, some share
+    k = draw(st.integers(2, 9))
+    palette = [b % k for b in draw(st.permutations(range(9)))]
+    verts = [(i / n, j / m) for j in range(m + 1) for i in range(n + 1)]
+    tris, media = [], {}
+    for j in range(m):
+        for i in range(n):
+            a = j * (n + 1) + i
+            block = sum(i >= cut for cut in x_cuts) + 3 * sum(j >= cut for cut in y_cuts)
+            for tri in ((a, a + 1, a + n + 2), (a, a + n + 1, a + n + 2)):
+                media[len(tris)] = palette[block]
+                tris.append(tri)
+    c = build_complex(2, verts, tris, media=media)
+    # half-cell positions: even ones lie on grid lines
+    origin = (draw(st.integers(0, 2 * n)) / (2 * n), draw(st.integers(0, 2 * m)) / (2 * m))
+    h = math.sqrt(0.5)
+    direction = draw(st.sampled_from(
+        [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0), (h, -h), (-h, h)]
+    ))
+    length = draw(st.sampled_from([1.01, 0.51, 0.26, 0.135, 1.51, 0.76]))
+    return c, Ray(origin=origin, direction=direction, length=length, grid_step=0.01)
+
+
+@settings(max_examples=300)
+@given(st.one_of(rods_with_runs(), grids_with_blocks()))
+def test_march_equals_the_walk_that_calls_exit_of_at_every_step(case):
+    """The exit table answers only where every leaving facet lies past the
+    entry time, and exit_of everywhere else: crossings, segment simplices
+    and raised errors equal those of a walk without the table."""
+    c, ray = case
+    assert outcome(_march, c, ray) == outcome(reference_march, c, ray)
+
+
 def test_media_validation():
     with pytest.raises(GeometryError):
         synthesize_ray_trace(
@@ -309,9 +448,9 @@ def test_ray_validation():
 
 @pytest.mark.parametrize("length, step", [(1.0, 1e-12), (1.0, 1e-320), (1e6 + 1, 1.0)])
 def test_ray_of_more_than_max_steps_rejected(length, step):
-    with pytest.raises(ValueError, match=f"length / grid_step must be <= {MAX_RAY_STEPS}"):
+    with pytest.raises(ValueError, match=f"length / grid_step must be <= {MAX_GRID_STEPS}"):
         Ray(origin=(0.0,), direction=(1.0,), length=length, grid_step=step)
-    assert Ray(origin=(0.0,), direction=(1.0,), length=1e6, grid_step=1.0).length == MAX_RAY_STEPS
+    assert Ray(origin=(0.0,), direction=(1.0,), length=1e6, grid_step=1.0).length == MAX_GRID_STEPS
 
 
 # ---------------------------------------------------------------------------

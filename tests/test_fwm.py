@@ -9,9 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polywave.coupled_mode import NonPositiveStep
-from polywave.detect import MAX_RAY_STEPS
 from polywave.fwm import (
-    MAX_SIGNAL_STEPS,
     MU0_EPS0,
     SPEED_OF_LIGHT,
     FwmParams,
@@ -82,7 +80,7 @@ def test_integrate_signal_grid():
 def test_integrate_signal_refuses_too_many_steps_before_building_the_grid(
     z_max, step, monkeypatch
 ):
-    """More than MAX_SIGNAL_STEPS steps, the bound of a ray, is a ValueError
+    """More than MAX_GRID_STEPS steps, the bound of a ray, is a ValueError
     before the grid is built: z_max / step = inf used to raise an
     OverflowError, and 1e12 steps would build a list of 1e12 samples."""
     def never(*args, **kwargs):
@@ -91,7 +89,6 @@ def test_integrate_signal_refuses_too_many_steps_before_building_the_grid(
     monkeypatch.setattr(np, "floor", never)
     with pytest.raises(ValueError, match="z_max / step must be <= 1000000"):
         integrate_signal(params(), z_max, step)
-    assert MAX_SIGNAL_STEPS == MAX_RAY_STEPS
 
 
 def test_closed_form_bracket_tends_to_one():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from polywave import geometry
 from polywave.geometry import (
     DegenerateSimplex,
     DimensionalInhomogeneity,
@@ -308,3 +309,65 @@ def test_power_of_two_scaling_keeps_the_marching_arrays(c, k):
         assert np.all(np.abs(d.normal - c.normal) <= 1e-9)
     else:
         assert np.array_equal(d.normal, c.normal)
+
+
+@st.composite
+def simplex_lists(draw):
+    """(dimension, vertices, simplices) of a rod or a triangle grid, shuffled
+    and then edited: a repeated or out-of-range index (past int64 too), a
+    duplicate, an orphan vertex, a ragged row, or a bad coordinate."""
+    dimension = draw(st.integers(1, 2))
+    n = draw(st.integers(1, 4))
+    if dimension == 1:
+        vertices = [[float(i)] for i in range(n + 1)]
+        simplices = [[i, i + 1] for i in range(n)]
+    else:
+        vertices = [[float(i), float(j)] for j in range(n + 1) for i in range(n + 1)]
+        simplices = []
+        for j in range(n):
+            for i in range(n):
+                a = j * (n + 1) + i
+                simplices += [[a, a + 1, a + n + 2], [a, a + n + 1, a + n + 2]]
+    simplices = [draw(st.permutations(s)) for s in draw(st.permutations(simplices))]
+    for _ in range(draw(st.integers(0, 2))):
+        s = draw(st.sampled_from(simplices))
+        k = draw(st.integers(0, len(s) - 1))
+        edit = draw(st.sampled_from(
+            ["repeat", "range", "duplicate", "orphan", "ragged", "drop", "coordinate"]
+        ))
+        if edit == "repeat":
+            s[k] = s[(k + 1) % len(s)]
+        elif edit == "range":
+            s[k] = draw(st.sampled_from([-1, len(vertices), 2**63, 10**23, -(10**23)]))
+        elif edit == "duplicate":
+            simplices.insert(draw(st.integers(0, len(simplices))), list(reversed(s)))
+        elif edit == "orphan":
+            vertices.append([0.5] * dimension)
+        elif edit == "ragged":
+            s.append(0) if draw(st.booleans()) else s.pop()
+        elif edit == "drop" and len(simplices) > 1:
+            simplices.remove(s)
+        elif edit == "coordinate":
+            vertex = draw(st.sampled_from(vertices))
+            vertex.append(1.0) if draw(st.booleans()) else vertex.__setitem__(0, float("inf"))
+    return dimension, [tuple(v) for v in vertices], [tuple(s) for s in simplices]
+
+
+def built(dimension, vertices, simplices):
+    """build_complex's complex with its arrays, or its error's type and text."""
+    try:
+        c = build_complex(dimension, vertices, simplices)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    return c, c.inverse.tolist(), c.normal.tolist(), c.neighbour.tolist()
+
+
+@given(simplex_lists())
+def test_array_validation_equals_the_per_simplex_loop(case):
+    """Where the array checks pass, the complex is the loop's; where a
+    conversion raises or a check fails, the loop names the first bad
+    vertex or simplex in input order, with the same type and text."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(geometry, "_checked_arrays", lambda *args: None)
+        expected = built(*case)
+    assert built(*case) == expected

@@ -269,6 +269,34 @@ def test_medium_chi3_is_rejected():
     assert err.line == 10 and err.col > len("medium.1")
 
 
+MEDIUM_TEXTS = ["n=1.0", "n=1.5", "n=2.0", "n=-1.5", "n=1.5 chi3=2", "n=x", "n=2.0  "]
+
+
+@given(st.lists(st.sampled_from(MEDIUM_TEXTS), min_size=1, max_size=8))
+def test_media_entries_of_one_text_share_the_first_ones_record(texts):
+    """Each distinct medium text is read once, at its first entry: a bad
+    text fails at the line and column of its first entry, and entries with
+    the same text hold one record."""
+    lines = ROD_CONFIG.splitlines()
+    first = lines.index("medium.0 = n=1.0")
+    vertices = " | ".join(str(float(i)) for i in range(len(texts) + 1))
+    simplices = " | ".join(f"{i} {i + 1}" for i in range(len(texts)))
+    lines[first:first + 3] = [f"medium.{i} = {text}" for i, text in enumerate(texts)]
+    text = "\n".join(lines).replace("0.0 | 0.25 | 0.55 | 1.0", vertices).replace(
+        "0 1 | 1 2 | 2 3", simplices)
+    bad = [i for i, t in enumerate(texts) if t.strip() not in ("n=1.0", "n=1.5", "n=2.0")]
+    if bad:
+        err = parse_error(text)
+        assert (err.line, err.col) == (first + 1 + bad[0], len(f"medium.{bad[0]} =") + 1)
+        assert err.message.startswith(f"medium.{bad[0]}")
+        return
+    media = load_scenario_text(text).media
+    for i, t in enumerate(texts):
+        assert media[i] == EmMedium(float(t.strip()[2:]))
+        for j, u in enumerate(texts):
+            assert (media[i] is media[j]) == (t.strip() == u.strip())
+
+
 @pytest.mark.parametrize("base, old, new, message", [
     (ROD_CONFIG, "n=1.5", "n=1.5 eps=2.25", "medium.1: unknown token eps= (accepted: n)"),
     (ROD_CONFIG, "n=1.5", "n=1.5 mu=1.0", "medium.1: unknown token mu="),
@@ -976,6 +1004,25 @@ def test_block_reader_reads_what_one_pass_reads(blocks, shift, seed, blank_at):
             assert np.array_equal(bits(got), bits(want))
         assert tr.medium_ids == medium_ids
         assert list(map(type, tr.medium_ids)) == list(map(type, medium_ids))
+
+
+def test_write_builds_no_column_of_medium_fields(tmp_path):
+    """Medium ids become CSV fields one block at a time: the traced peak of
+    one write of 4 rays x 100k rows stays under 3.5 MB, where a column of
+    fields for every row, built before the body was cut into shares, took
+    it to 5.1 MB."""
+    traces = [long_trace(ray_id, 100_000) for ray_id in range(4)]
+    path = tmp_path / "traces.csv"
+    write_traces(path, traces)  # compile and cache what a first call builds
+    expected = path.read_bytes()
+    tracemalloc.start()
+    try:
+        write_traces(path, traces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == expected
+    assert peak < 3.5e6
 
 
 def test_read_peak_memory_stays_within_twice_what_it_returns(tmp_path):
