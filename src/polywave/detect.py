@@ -221,18 +221,17 @@ class DetectionReport:
 def _march(c: SimplicialComplex, ray: Ray):
     """Walk the ray through the complex.
 
-    Returns (crossings, segment_simplices): crossings is a list of
-    (z, facet, simplex_before, simplex_after) at every facet between
-    different media; segment_simplices has one simplex index per
-    inter-crossing segment, starting at z=0.  Facets between simplices of
-    the same medium are crossed without a record or an incidence check.
+    Returns (cross_z, path): cross_z lists the z of every facet crossed
+    between different media, and path has one simplex index per segment
+    between crossings, starting at z=0.  Facets between simplices of the
+    same medium are crossed without a record or an incidence check.
 
-    One pass over every simplex's local facets builds the exit table: the
-    exit that exit_of(s, t) gives when all of s's leaving facets lie past
-    t + eps_t, with the smallest leaving t (t_low) that says when it
-    applies.  The walk reads the table where it applies and calls exit_of
-    where it does not (a ray entering through a vertex or along a facet),
-    as the search for the start simplex does; both give the same bits.
+    Every exit comes from `leave`, the t at which the ray leaves each
+    simplex through each facet (inf where it does not).  exit_of(s, t) scans
+    row s for the first facet left after t + eps_t, or a graze (-2) where
+    two tie.  Where every leaving facet of s lies past t + eps_t, which the
+    row's smallest t (t_low) says, the answer does not depend on t: the exit
+    table, built once from the columns of `leave`, holds it.
     """
     origin = np.asarray(ray.origin, dtype=float)
     direction = np.asarray(ray.direction, dtype=float)
@@ -246,82 +245,72 @@ def _march(c: SimplicialComplex, ray: Ray):
     if not containing:
         raise RayOutsideComplex(f"ray origin {ray.origin} lies outside the complex")
     lam_d_all = c.inverse @ np.concatenate(([0.0], direction))
-    cosine_all = c.normal @ direction
-
-    def exit_of(idx: int, t_enter: float):
-        l0, ld = lam0_all[idx].tolist(), lam_d_all[idx].tolist()
-        t_exit, j_exit = math.inf, -1
-        for j in range(len(l0)):
-            if ld[j] < -1e-300:
-                t_j = -l0[j] / ld[j]
-                if t_j > t_enter + eps_t and t_j < t_exit - eps_t:
-                    t_exit, j_exit = t_j, j
-                elif t_j > t_enter + eps_t and abs(t_j - t_exit) <= eps_t:
-                    j_exit = -2  # simultaneous facet exit: codim-2 graze
-        return t_exit, j_exit
-
-    count = len(c.simplices)
-    table_t = np.full(count, math.inf)
-    table_j = np.full(count, -1)
-    t_low = np.full(count, math.inf)
-    # the same IEEE operations as exit_of, which raise no warning in Python
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for j, (l0, ld) in enumerate(zip(lam0_all.T, lam_d_all.T)):
-            leaving = ld < -1e-300
-            t_j = np.where(leaving, -l0 / ld, math.inf)
-            earlier = leaving & (t_j < table_t - eps_t)
-            graze = leaving & ~earlier & (np.abs(t_j - table_t) <= eps_t)
+        leave = np.where(lam_d_all < -1e-300, -lam0_all / lam_d_all, math.inf)
+        # the scan's comparisons, as IEEE operations on whole columns
+        table_t = np.full(len(leave), math.inf)
+        table_j = np.full(len(leave), -1)
+        for j, t_j in enumerate(leave.T):
+            earlier = t_j < table_t - eps_t
+            graze = ~earlier & (np.abs(t_j - table_t) <= eps_t)
             table_t = np.where(earlier, t_j, table_t)
             table_j = np.where(earlier, j, np.where(graze, -2, table_j))
-            t_low = np.minimum(t_low, t_j)  # a NaN t_j sends s to exit_of
-    rows = np.arange(count)
-    facet_j = np.maximum(table_j, 0)
-    table = list(zip(
-        t_low.tolist(), table_t.tolist(), table_j.tolist(),
-        c.neighbour[rows, facet_j].tolist(), cosine_all[rows, facet_j].tolist(),
-    ))
+    # a NaN in a row makes its t_low NaN, which sends s to the scan
+    table = list(zip(leave.min(axis=1).tolist(), table_t.tolist(), table_j.tolist()))
+
+    def exit_of(s: int, t_enter: float):
+        t_low, t_exit, j_exit = table[s]
+        if t_low > t_enter + eps_t:
+            return t_exit, j_exit
+        t_exit, j_exit = math.inf, -1
+        for j, t_j in enumerate(leave[s].tolist()):
+            if t_j > t_enter + eps_t and t_j < t_exit - eps_t:
+                t_exit, j_exit = t_j, j
+            elif t_j > t_enter + eps_t and abs(t_j - t_exit) <= eps_t:
+                j_exit = -2  # simultaneous facet exit: codim-2 graze
+        return t_exit, j_exit
 
     current = None
-    for idx in containing:
-        t_exit, j_exit = exit_of(idx, 0.0)
+    for s in containing:
+        t_exit, j_exit = exit_of(s, 0.0)
         if j_exit >= 0 and t_exit > eps_t:
-            current = idx
+            current = s
             break
     if current is None:
         raise RayOutsideComplex("ray cannot advance from its origin")
 
-    media, simplices = c.media, c.simplices
-    crossings = []
-    segment_simplices = [current]
+    # flat lists: entry s*width + j is the simplex across facet j of s, and
+    # the cosine of the ray with that facet's normal
+    width = leave.shape[1]
+    media, neighbour = c.media, c.neighbour.ravel().tolist()
+    cosine = (c.normal @ direction).ravel().tolist()
+    cross_z, path = [], [current]
     t = 0.0
-    for _ in range(count + 1):
-        low, t_exit, j_exit, nxt, cosine = table[current]
-        if not low > t + eps_t:
-            t_exit, j_exit = exit_of(current, t)
-            # read only when j_exit >= 0
-            nxt = int(c.neighbour[current, j_exit])
-            cosine = float(cosine_all[current, j_exit])
+    for _ in range(len(leave) + 1):
+        t_exit, j_exit = exit_of(current, t)
         if j_exit == -2:
             raise RayOutsideComplex(
                 "ray exits through a face of codimension >= 2 (ambiguous)"
             )
         if t_exit >= ray.length - eps_t:
-            return crossings, segment_simplices
+            return cross_z, path
+        nxt = neighbour[current * width + j_exit]
         if nxt >= 0 and media[nxt] == media[current]:
             current, t = nxt, t_exit
             continue
-        simplex = simplices[current]
-        facet = simplex[:j_exit] + simplex[j_exit + 1:]
-        if abs(cosine) <= 1.0 - 1e-9:
-            raise ObliqueCrossing(
-                f"ray crosses facet {facet} at z={t_exit:.6g} away from normal"
-            )
-        if nxt < 0:
+        oblique = abs(cosine[current * width + j_exit]) <= 1.0 - 1e-9
+        if oblique or nxt < 0:
+            simplex = c.simplices[current]
+            facet = simplex[:j_exit] + simplex[j_exit + 1:]
+            if oblique:
+                raise ObliqueCrossing(
+                    f"ray crosses facet {facet} at z={t_exit:.6g} away from normal"
+                )
             raise RayOutsideComplex(
                 f"ray leaves the complex through boundary facet {facet} at z={t_exit:.6g}"
             )
-        crossings.append((t_exit, facet, current, nxt))
-        segment_simplices.append(nxt)
+        cross_z.append(t_exit)
+        path.append(nxt)
         current, t = nxt, t_exit
     raise RayOutsideComplex("ray marching did not terminate")
 
@@ -356,8 +345,8 @@ def synthesize_ray_trace(
         raise ValueError("media must be EmMedium or AcousticMedium records")
 
     wave_kind = "em" if is_em else "acoustic"
-    crossings, segment_simplices = _march(c, ray)
-    seg_media = [c.media[s] for s in segment_simplices]
+    cross_z, path = _march(c, ray)
+    seg_media = [c.media[s] for s in path]
     for mid in seg_media:
         if mid not in media:
             raise ValueError(f"no physical medium for id {mid!r}")
@@ -382,7 +371,6 @@ def synthesize_ray_trace(
 
     n_samples = int(math.floor(ray.length / ray.grid_step + 1e-9)) + 1
     z = np.arange(n_samples, dtype=float) * ray.grid_step
-    cross_z = np.array([cz for cz, _, _, _ in crossings])
     seg_of = np.searchsorted(cross_z, z, side="right")
     incident = np.asarray(seg_value, dtype=complex)[seg_of]
     medium_ids = tuple(map(seg_media.__getitem__, seg_of.tolist()))

@@ -200,6 +200,11 @@ def _forked(tasks):
                 if pid == 0:
                     code = 1
                     try:
+                        # no read end stays open here, so a child whose
+                        # parent is gone gets EPIPE instead of blocking
+                        os.close(read)
+                        for child in children:
+                            child.pipe.close()
                         with open(write, "wb") as out:
                             task(out)
                         code = 0

@@ -240,6 +240,11 @@ def test_non_finite_number_exit_2(old, new, token, tmp_path, capsys):
     ("criterion=coupled_mode rays=0,1", "criterion=cascade rays=0,1 position=0.1,0.2,0.3",
      "check.0: position must have 1 components"),
     ("candidates =", "paper_exact = true\ncandidates =", "paper_exact: acoustic scenarios only"),
+    ("candidates =", "paper_exact = maybe\ncandidates =", "paper_exact: expected true/false, got 'maybe'"),
+    ("[vertices]", "[ ]", "empty section name"),
+    ("0.0 | 0.25 | 0.55 | 1.0", "0.0 | | 0.55 | 1.0", "vertices: empty entry in list"),
+    ("[media]\nwave_kind = em\n", "[media]\n", "missing required key 'wave_kind' in this section"),
+    ("medium.0 = n=1.0", "medium.0 = n", "medium.0: malformed token 'n', expected key=value"),
 ])
 def test_out_of_range_value_exit_2(old, new, message, tmp_path, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -606,6 +611,7 @@ def test_simulate_degenerate_geometry_exit_3(tmp_path, capsys):
     ("0.0 | 0.25 | 0.55 | 1.0", "0.0 | 999 | 0.55 | 1.0", "simplices 0 and 1 fold over facet (1,)"),
     ("| 2 3", "| 2 99999999999999999999999",
      "simplex (2, 99999999999999999999999) references unknown vertex 99999999999999999999999"),
+    ("dimension = 1", "dimension = 0", "dimension must be >= 1, got 0"),
 ])
 def test_readme_geometry_edit_exit_3(old, new, message, tmp_path, capsys):
     """A folded rod used to simulate with exit 0."""
@@ -799,12 +805,20 @@ def test_detect_garbled_trace_number_exit_4(rod, tmp_path, capsys):
     assert "schema error: garbled trace row" in capsys.readouterr().err
 
 
-def test_detect_garbled_sidecar_exit_4(rod, tmp_path, capsys):
-    def garble(path):
-        sidecar_path(path).write_text('{"kind": "traces", ')
+@pytest.mark.parametrize("garble, message", [
+    (lambda text: '{"kind": "traces", ', "is not valid JSON"),
+    (lambda text: "[]", "does not hold a JSON object"),
+    (lambda text: text.replace('"wave_kind": "em"', '"wave_kind": "light"'),
+     "sidecar wave_kind 'light' is not em/acoustic"),
+], ids=["not-json", "array", "wave-kind"])
+def test_detect_garbled_sidecar_exit_4(garble, message, rod, tmp_path, capsys):
+    def edit(path):
+        sp = sidecar_path(path)
+        sp.write_text(garble(sp.read_text()))
 
-    assert simulate_then_detect(rod, tmp_path, garble) == 4
-    assert "is not valid JSON" in capsys.readouterr().err
+    assert simulate_then_detect(rod, tmp_path, edit) == 4
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("schema error: ") and message in err
 
 
 def test_detect_sidecar_version_mismatch_exit_4(rod, tmp_path, capsys):
@@ -1015,6 +1029,8 @@ FWM = ["fwm", "--omega-s", "1", "--k-s", "1", "--chi3", "1"]
     (["fwm", "--omega-s", "nan", "--k-s", "1", "--chi3", "1", "--z-max", "1", "--step", "0.5"],
      "--omega-s"),
     (FWM + ["--delta-k=-inf", "--z-max", "1", "--step", "0.5"], "--delta-k"),
+    (["slab-modes", "--core", "abc", "--clad", "1.0", "--thickness", "2e-6", "--k0", "1e6"],
+     "--core"),
 ])
 def test_non_finite_float_flag_exit_2(argv, flag, capsys):
     """A float flag that is not a finite number fails in argparse, naming the

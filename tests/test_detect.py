@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polywave import detect as detect_module
@@ -237,13 +237,11 @@ def test_same_medium_facets_are_transparent():
 
 def test_grid_records_only_the_media_change():
     c = unit_grid(40, lambda x, y: int(x > 0.5))
-    crossings, segments = _march(c, GRID_RAY)
-    assert len(crossings) == 1
-    z, facet, before, after = crossings[0]
+    (z,), (before, after) = _march(c, GRID_RAY)
     assert z == pytest.approx(0.495, abs=1e-12)
-    assert [c.vertices[v][0] for v in facet] == [0.5, 0.5]
+    # entered across its facet on x = 0.5
+    assert [c.vertices[v][0] for v in c.simplices[after]].count(0.5) == 2
     assert (c.media[before], c.media[after]) == (0, 1)
-    assert len(segments) == 2 and segments[1] == after
     tr = synthesize_ray_trace(c, {0: EmMedium(1.0), 1: EmMedium(1.5)}, GRID_RAY)
     assert tr.incident[49] == 1.0 and tr.incident[50] == pytest.approx(0.8)
     assert np.flatnonzero(tr.reflected).tolist() == [49]
@@ -258,11 +256,9 @@ def test_march_crosses_a_rod_at_its_vertices():
     )
     origin = 0.3 * float(x[1])
     ray = Ray(origin=(origin,), direction=(1.0,), length=float(x[-1]) - 0.1 - origin, grid_step=0.01)
-    crossings, segments = _march(c, ray)
-    assert segments == list(range(30))
-    assert [(f, a, b) for _, f, a, b in crossings] == [((i + 1,), i, i + 1) for i in range(29)]
-    z = np.array([cz for cz, _, _, _ in crossings])
-    assert np.max(np.abs(z - (x[1:-1] - origin))) <= 1e-12
+    z, path = _march(c, ray)
+    assert path == list(range(30))
+    assert np.max(np.abs(np.array(z) - (x[1:-1] - origin))) <= 1e-12
 
 
 def test_ray_through_codimension_two_face_rejected():
@@ -283,7 +279,8 @@ def test_ray_through_codimension_two_face_rejected():
 
 def reference_march(c, ray):
     """The walk before the exit table, kept as an oracle: exit_of at every
-    step, over (S, n+1) lists of every simplex's coordinates."""
+    step, over (S, n+1) lists of every simplex's coordinates.  Returns the
+    z of every crossing and the simplex of every segment, as _march does."""
     origin = np.asarray(ray.origin, dtype=float)
     direction = np.asarray(ray.direction, dtype=float)
     eps_t = 1e-12 * ray.length
@@ -318,8 +315,7 @@ def reference_march(c, ray):
     if current is None:
         raise RayOutsideComplex("ray cannot advance from its origin")
 
-    crossings = []
-    segment_simplices = [current]
+    cross_z, path = [], [current]
     t = 0.0
     for _ in range(len(c.simplices) + 1):
         t_exit, j_exit = exit_of(current, t)
@@ -328,7 +324,7 @@ def reference_march(c, ray):
                 "ray exits through a face of codimension >= 2 (ambiguous)"
             )
         if t_exit >= ray.length - eps_t:
-            return crossings, segment_simplices
+            return cross_z, path
         nxt = neighbour[current][j_exit]
         if nxt >= 0 and c.media[nxt] == c.media[current]:
             current, t = nxt, t_exit
@@ -343,8 +339,8 @@ def reference_march(c, ray):
             raise RayOutsideComplex(
                 f"ray leaves the complex through boundary facet {facet} at z={t_exit:.6g}"
             )
-        crossings.append((t_exit, facet, current, nxt))
-        segment_simplices.append(nxt)
+        cross_z.append(t_exit)
+        path.append(nxt)
         current, t = nxt, t_exit
     raise RayOutsideComplex("ray marching did not terminate")
 
@@ -412,10 +408,19 @@ def grids_with_blocks(draw):
 
 @settings(max_examples=300)
 @given(st.one_of(rods_with_runs(), grids_with_blocks()))
+# degenerate walks on a 2 x 2 grid: a ray along the edge y = 0.5 with medium
+# 1 where x >= 0.5, which today ends at the vertex (0.5, 0.5) without a
+# crossing, and a falling diagonal through the vertices of a uniform grid,
+# which today raises the codimension-2 graze
+@example((unit_grid(2, lambda x, y: int(x >= 0.5)),
+          Ray(origin=(0.25, 0.5), direction=(1.0, 0.0), length=0.6, grid_step=0.01)))
+@example((unit_grid(2, lambda x, y: 0),
+          Ray(origin=(0.0, 1.0), direction=(math.sqrt(0.5), -math.sqrt(0.5)), length=1.2, grid_step=0.01)))
 def test_march_equals_the_walk_that_calls_exit_of_at_every_step(case):
     """The exit table answers only where every leaving facet lies past the
-    entry time, and exit_of everywhere else: crossings, segment simplices
-    and raised errors equal those of a walk without the table."""
+    entry time, and the scan of the simplex's row everywhere else: the
+    crossing z list, the path and raised errors equal those of a walk that
+    scans at every step."""
     c, ray = case
     assert outcome(_march, c, ray) == outcome(reference_march, c, ray)
 
@@ -518,6 +523,12 @@ def test_acoustic_roundtrip_and_reciprocity():
     assert len(hits_b) == 1
     assert hits_b[0].measured_t.real == pytest.approx(0.64, abs=1e-12)
     assert abs(hits_b[0].position[0] - 0.5) <= 0.001
+
+    # so a swapped pair matches as well: each is reported as listed, and of
+    # the two the ascending pair wins the tie
+    assert detect_interfaces_acoustic(fwd, [(4.0, 1.0)], tol=1e-6)[0].media_pair == (4.0, 1.0)
+    hits = detect_interfaces_acoustic(fwd, [(4.0, 1.0), (1.0, 4.0)], tol=1e-6)
+    assert hits[0].media_pair == (1.0, 4.0)
 
 
 def test_consecutive_flags_merge_to_first_z():

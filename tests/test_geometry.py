@@ -137,6 +137,8 @@ LINE = [(0.0,), (1.0,)]
     # be an error here, and the old text called the simplex flat
     (1, [(-1e308,), (1e308,), (1.5e308,)], [(0, 1), (1, 2)], GeometryError,
      "simplex (0, 1) spans more than the float range"),
+    (1, [], [(0, 1)], GeometryError, "empty vertex list"),
+    (1, LINE, [], GeometryError, "empty simplex list"),
 ])
 def test_build_complex_error_texts(dimension, vertices, simplices, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

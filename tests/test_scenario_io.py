@@ -7,9 +7,11 @@ import json
 import math
 import os
 import re
+import signal
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 import warnings
 from contextlib import contextmanager
@@ -557,6 +559,12 @@ def test_flags_replace_detection_keys():
     assert (sc.seed, sc.noise_sigma, sc.tol, sc.vertex_checks[0].tol) == (8, 0.25, 0.01, 0.01)
     assert load_scenario_text(text).vertex_checks[0].tol == 0.5
     assert load_scenario_text(ACOUSTIC_CONFIG, {"paper_exact": ("--paper-exact", "true")}).paper_exact
+
+
+def test_paper_exact_key_reads_yes_and_no():
+    text = ACOUSTIC_CONFIG.replace("[detection]", "[detection]\npaper_exact = {}")
+    assert load_scenario_text(text.format("yes")).paper_exact
+    assert not load_scenario_text(text.format("no")).paper_exact
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -1182,6 +1190,12 @@ def test_report_schema_mismatches(tmp_path):
         read_report(bad)
     with pytest.raises(SchemaMismatch):
         read_report(tmp_path / "never_written.csv")
+    rows = path.read_text().splitlines(keepends=True)
+    for row, message in [(rows[1].replace(",", "", 1), "report row has 12 fields: "),
+                         ("surface" + rows[1][len("interface"):], "unknown report row kind 'surface'")]:
+        bad.write_text("".join([rows[0], row, *rows[2:]]))
+        with pytest.raises(SchemaMismatch, match=f"^{re.escape(message)}"):
+            read_report(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -1467,6 +1481,28 @@ def test_interrupt_in_the_parent_kills_and_reaps_every_child(tmp_path):
             write_traces(tmp_path / "traces.csv", [long_trace(0, 4 * _BLOCK_ROWS)])
     assert len(forks) == 3
     assert_no_child_left()
+
+
+def test_a_child_whose_reader_is_gone_exits():
+    """A child holds no read end of a share pipe, so one with more than a
+    pipe's buffer to send gets EPIPE once the parent's end is closed (as a
+    signal that ends the parent closes it) instead of blocking for ever."""
+    def send(out):
+        out.write(bytes(1 << 20))
+
+    with traceio._forked([send]) as (child,):
+        child.pipe.close()
+        deadline = time.monotonic() + 5
+        pid, status = os.waitpid(child.pid, os.WNOHANG)
+        while not pid and time.monotonic() < deadline:
+            time.sleep(0.01)
+            pid, status = os.waitpid(child.pid, os.WNOHANG)
+        if not pid:
+            os.kill(child.pid, signal.SIGKILL)
+            os.waitpid(child.pid, 0)
+        child.pid = None  # reaped here
+    assert pid, "the child still blocked on its pipe after 5 s"
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 1
 
 
 def test_another_thread_keeps_one_share(tmp_path):
