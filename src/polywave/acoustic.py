@@ -69,13 +69,12 @@ def intensity_coefficients(
         raise NonPositiveImpedance(f"impedances must be > 0, got {z1}, {z2}")
     q = z2 / z1
     r_i = ((q - 1.0) / (q + 1.0)) ** 2
-    if paper_exact:
-        if z1 == z2:
-            raise PaperExactSingularity(
-                "as-published transmittance divides by (Z2/Z1 - 1)^2"
-            )
-        t_i = 4.0 * q / (q - 1.0) ** 2
-    else:
-        t_i = 4.0 * q / (q + 1.0) ** 2
+    if paper_exact and z1 == z2:
+        raise PaperExactSingularity("as-published transmittance divides by (Z2/Z1 - 1)^2")
+    d = q - 1.0 if paper_exact else q + 1.0
+    try:
+        t_i = 4.0 * q / d ** 2
+    except OverflowError:  # a float power past the float range raises, a division does not
+        t_i = 4.0 * q / d / d
     return t_i, r_i
 

@@ -40,10 +40,7 @@ FLAGS = {"seed": "seed", "noise_sigma": "noise", "tol": "tol", "paper_exact": "p
 def _load_scenario(args) -> sc.Scenario:
     flags = {key: ("--" + dest.replace("_", "-"), getattr(args, dest))
              for key, dest in FLAGS.items() if getattr(args, dest, None) is not None}
-    try:
-        return sc.load_scenario(args.config, flags)
-    except FileNotFoundError:
-        raise sc.ConfigParseError(f"config file not found: {args.config}")
+    return sc.load_scenario(args.config, flags)
 
 
 def cmd_simulate(args) -> int:
@@ -253,7 +250,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"schema error: missing file {exc.filename}", file=sys.stderr)
         return EXIT_SCHEMA
-    except traceio.SchemaMismatch as exc:
+    # an OSError: a trace, report or output path that cannot be opened, read or written
+    except (OSError, traceio.SchemaMismatch) as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (cm.MalformedSpec, ValueError) as exc:

@@ -239,7 +239,8 @@ def _march(c: SimplicialComplex, ray: Ray):
 
     # barycentric coordinates lam(t) = lam0 + t*lam_d along the ray, for
     # every simplex; a facet j is leaving where lam_d[j] < 0, at t_j
-    lam0_all = c.inverse @ np.concatenate(([1.0], origin))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan far out: not containing
+        lam0_all = c.inverse @ np.concatenate(([1.0], origin))
     # containing simplices of the origin, lowest index first
     containing = np.flatnonzero(np.min(lam0_all, axis=1) >= -1e-9).tolist()
     if not containing:
@@ -256,12 +257,11 @@ def _march(c: SimplicialComplex, ray: Ray):
             table_t = np.where(earlier, t_j, table_t)
             table_j = np.where(earlier, j, np.where(graze, -2, table_j))
     # a NaN in a row makes its t_low NaN, which sends s to the scan
-    table = list(zip(leave.min(axis=1).tolist(), table_t.tolist(), table_j.tolist()))
+    t_low, table_t, table_j = leave.min(axis=1).tolist(), table_t.tolist(), table_j.tolist()
 
     def exit_of(s: int, t_enter: float):
-        t_low, t_exit, j_exit = table[s]
-        if t_low > t_enter + eps_t:
-            return t_exit, j_exit
+        if t_low[s] > t_enter + eps_t:
+            return table_t[s], table_j[s]
         t_exit, j_exit = math.inf, -1
         for j, t_j in enumerate(leave[s].tolist()):
             if t_j > t_enter + eps_t and t_j < t_exit - eps_t:
@@ -351,40 +351,35 @@ def synthesize_ray_trace(
         if mid not in media:
             raise ValueError(f"no physical medium for id {mid!r}")
 
-    # amplitude (EM) or intensity (acoustic) per segment, and the
-    # reflected sample magnitude recorded at each crossing; the coefficients
-    # depend only on the index (EM) or impedance (acoustic) on either side
-    if is_em:
-        values = [media[mid].refractive_index for mid in seg_media]
-    else:
-        values = [media[mid].impedance for mid in seg_media]
-    coeffs = {}
-    seg_value = [1.0 + 0j]
-    refl_at_crossing = []
-    for pair in zip(values, values[1:]):
-        if pair not in coeffs:
-            coeffs[pair] = _step_coefficients(wave_kind, *pair)
-        t_c, r_c = coeffs[pair]
-        cur = seg_value[-1]
-        refl_at_crossing.append(r_c * cur)
-        seg_value.append(t_c * cur)
+    # amplitude (EM) or intensity (acoustic) per segment, a complex product
+    # of step t's (past the float range inf * 0j is nan, as in one Python
+    # complex product per step), and the r-scaled value at each crossing
+    values = [media[mid].refractive_index if is_em else media[mid].impedance
+              for mid in seg_media]
+    pairs = list(zip(values, values[1:]))
+    coeffs = {pair: _step_coefficients(wave_kind, *pair) for pair in dict.fromkeys(pairs)}
+    t_step, r_step = (np.array([coeffs[pair][k] for pair in pairs], dtype=float) for k in (0, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        seg_value = np.cumprod(np.concatenate(([1 + 0j], t_step)))
+        refl_at_crossing = r_step * seg_value[:-1]
 
     n_samples = int(math.floor(ray.length / ray.grid_step + 1e-9)) + 1
     z = np.arange(n_samples, dtype=float) * ray.grid_step
     seg_of = np.searchsorted(cross_z, z, side="right")
-    incident = np.asarray(seg_value, dtype=complex)[seg_of]
+    incident = seg_value[seg_of]
     medium_ids = tuple(map(seg_media.__getitem__, seg_of.tolist()))
     reflected = np.zeros(n_samples, dtype=complex)
     # the last sample strictly before each crossing, in crossing order
     before_idx = np.searchsorted(z, cross_z, side="left") - 1
     kept = before_idx >= 0
-    np.add.at(reflected, before_idx[kept], np.asarray(refl_at_crossing, dtype=complex)[kept])
+    np.add.at(reflected, before_idx[kept], refl_at_crossing[kept])
 
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
-        factors = 1.0 + noise_sigma * rng.standard_normal((n_samples, 2))
-        incident = incident * factors[:, 0]
-        reflected = reflected * factors[:, 1]
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, nan for a huge sigma
+            factors = 1.0 + noise_sigma * rng.standard_normal((n_samples, 2))
+            incident = incident * factors[:, 0]
+            reflected = reflected * factors[:, 1]
 
     return FieldTrace(
         ray=ray,
@@ -658,7 +653,10 @@ def detect_vertex_coupled_mode(
 
     p0 = _closed_form_start(a, b, h)
     delta = [1.5e-8 * max(abs(v), 1.0 / float(z[-1])) for v in p0]
-    stall_floor = (STALL_FACTOR * tol) ** 2 * (2.0 * n)
+    try:
+        stall_floor = (STALL_FACTOR * tol) ** 2 * (2.0 * n)
+    except OverflowError:  # a float power past the float range raises
+        stall_floor = math.inf
     with np.errstate(over="ignore", invalid="ignore"):  # overflow stops the fit as "overflow"
         fitted, r, evals, stop = _levenberg_marquardt(residuals, p0, delta, stall_floor)
         residual = math.sqrt(float(r @ r) / (2.0 * n))

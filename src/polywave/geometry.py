@@ -225,6 +225,9 @@ def build_complex(
     m = np.ones((len(canonical), dimension + 1, dimension + 1))
     m[:, 1:, :] = corners.transpose(0, 2, 1)
     inverse = np.linalg.inv(m)
+    narrow = np.flatnonzero(~np.isfinite(inverse).all(axis=(1, 2)))
+    if narrow.size:  # its inverse overflows: narrower than about 1e-308
+        raise GeometryError(f"simplex {canonical[narrow[0]]} is too narrow for the float range")
     grad = _scaled(inverse[:, :, 1:], 2)
     normal = grad / np.linalg.norm(grad, axis=2, keepdims=True)
 
@@ -236,7 +239,8 @@ def build_complex(
     t = neighbour[s, j]
     apex = table[t, np.argmax(neighbour[t] == s[:, None], axis=1)]
     offset = points[apex] - corners[s, 0]
-    lam = (j == 0) + np.sum(inverse[s, j, 1:] * offset, axis=1)
+    with np.errstate(over="ignore"):  # an apex far out gives inf, folded or not
+        lam = (j == 0) + np.sum(inverse[s, j, 1:] * offset, axis=1)
     folded = np.flatnonzero(lam >= 0.0)
     if folded.size:
         k = folded[0]

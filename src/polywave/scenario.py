@@ -473,6 +473,8 @@ def load_scenario_text(text: str, flags=None) -> Scenario:
             _fail(entry, f"{key}: no ray {absent[0]}")
         if not low <= len(check.ray_ids) <= high:
             _fail(entry, f"{key}: {criterion} takes {wanted}, got {len(check.ray_ids)}")
+        if criterion == "fwm" and media_keys["wave_kind"] != "em":
+            _fail(entry, f"{key}: fwm tests EM traces, got wave_kind {media_keys['wave_kind']}")
         if check.position is not None and len(check.position) != cpx.dimension:
             _fail(entry, f"{key}: position must have {cpx.dimension} components")
         checks.append(check)
@@ -482,8 +484,15 @@ def load_scenario_text(text: str, flags=None) -> Scenario:
 
 
 def load_scenario(path, flags=None) -> Scenario:
-    with open(path) as fh:
-        return load_scenario_text(fh.read(), flags)
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise ConfigParseError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigParseError(f"cannot read config file {path}: {reason}") from None
+    return load_scenario_text(text, flags)
 
 
 def run_simulate(scenario: Scenario) -> list:
@@ -528,14 +537,19 @@ def run_detect(scenario: Scenario, traces) -> DetectionReport:
         if missing:
             raise SchemaMismatch(f"vertex check names ray(s) {missing} absent from the traces")
         trs = [by_id[r] for r in check.ray_ids]
-        if check.criterion == "coupled_mode":
-            verdict = detect_vertex_coupled_mode(
-                trs[0], trs[1], check.window, check.tol, check.kappa_min
-            )
-        elif check.criterion == "cascade":
-            verdict = detect_vertex_cascade(trs, check.position, None, check.tol)
-        else:
-            verdict = detect_vertex_fwm(trs[0], check.chi3, check.pumps, check.tol, check.window)
+        try:  # the config checked the settings: what a detector refuses is the traces
+            if check.criterion == "coupled_mode":
+                verdict = detect_vertex_coupled_mode(
+                    trs[0], trs[1], check.window, check.tol, check.kappa_min
+                )
+            elif check.criterion == "cascade":
+                verdict = detect_vertex_cascade(trs, check.position, None, check.tol)
+            else:
+                verdict = detect_vertex_fwm(
+                    trs[0], check.chi3, check.pumps, check.tol, check.window
+                )
+        except ValueError as exc:
+            raise SchemaMismatch(f"{check.criterion} check on rays {list(check.ray_ids)}: {exc}")
         if verdict.is_vertex:  # the report lists accepted verdicts only
             vertex_hits.append(
                 VertexHit(

@@ -147,9 +147,6 @@ class _Fields:
         self.fields = fields
         self.span = range(len(values)) if span is None else span
 
-    def __len__(self) -> int:
-        return len(self.span)
-
     def __getitem__(self, index: slice) -> _Fields:
         return _Fields(self.values, self.fields, self.span[index])
 
@@ -322,7 +319,8 @@ def read_traces(path) -> tuple[list[FieldTrace], dict]:
     if wave_kind not in ("em", "acoustic"):
         raise SchemaMismatch(f"sidecar wave_kind {wave_kind!r} is not em/acoustic")
     with open(path) as fh:
-        header = next(csv.reader([fh.readline()]), None)
+        with _garbled("trace file"):  # text that does not decode
+            header = next(csv.reader([fh.readline()]), None)
         if header != TRACE_COLUMNS:
             raise SchemaMismatch(f"trace header {header} != {TRACE_COLUMNS}")
         with _garbled("trace row"):

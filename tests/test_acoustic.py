@@ -90,6 +90,18 @@ def test_as_published_variant_singular_when_matched():
         intensity_coefficients(3.0, 3.0, paper_exact=True)
 
 
+@pytest.mark.parametrize("paper_exact", [False, True])
+@pytest.mark.parametrize("z1, z2", [(5e-324, 1e-150), (1e-160, 1.0), (1.0, 1e300)])
+def test_ratio_whose_square_is_past_the_float_range(z1, z2, paper_exact):
+    """(q +- 1)^2 overflows, where a float power raises OverflowError; T_I
+    is 4q/(q +- 1)/(q +- 1), about 4/q, and R_I rounds to 1."""
+    t_i, r_i = intensity_coefficients(z1, z2, paper_exact=paper_exact)
+    q = z2 / z1
+    assert t_i == pytest.approx(4.0 / q, rel=1e-12)
+    assert t_i > 0.0
+    assert r_i == 1.0
+
+
 def test_nonpositive_impedance_rejected():
     with pytest.raises(NonPositiveImpedance):
         intensity_coefficients(0.0, 1.0)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polywave import cli, detect, traceio
@@ -438,11 +438,10 @@ def test_trace_value_near_the_float_range_is_a_quiet_reject(value, row, tmp_path
 
 @pytest.fixture(scope="module")
 def readme_traces(tmp_path_factory):
-    """The README config without its [vertices] section, and the text of the
-    trace file and sidecar that simulate writes for it."""
+    """The README config, and the text of the trace file and sidecar that
+    simulate writes for it."""
     tmp = tmp_path_factory.mktemp("readme")
-    cfg, text = readme_config(tmp)
-    cfg.write_text(text.partition("[vertices]")[0])
+    cfg, _ = readme_config(tmp)
     traces = tmp / "traces.csv"
     with redirect_stderr(io.StringIO()):
         assert cli.main(["simulate", "--config", str(cfg), "--out", str(traces)]) == 0
@@ -457,11 +456,12 @@ def readme_traces(tmp_path_factory):
         ["inf", "-inf", "nan", "1e400", "-0", "", "x", '"a,b"', "1_0", "1e308", "-1"]
     ),
 )
+@example(row=10, field=1, value="1e308")  # an off-grid z in the coupled-mode window
 def test_a_replaced_trace_field_exits_0_or_4_quietly(readme_traces, row, field, value):
     """One field of a README trace row replaced (field 7: one field added):
     detect exits 0 or 4 with no traceback, and an exit-0 run warns nothing.
-    The config has no vertex checks, whose coupled-mode fit still exits 5 on
-    an off-grid z."""
+    A z that leaves the grid the coupled-mode check needs exits 4; it
+    exited 5 while the detectors' refusals of traces were spec errors."""
     cfg, lines, sidecar = readme_traces
     row = 1 + row % (len(lines) - 1)
     fields = lines[row].rstrip("\n").split(",")
@@ -481,6 +481,70 @@ def test_a_replaced_trace_field_exits_0_or_4_quietly(readme_traces, row, field, 
     assert "Traceback" not in err.getvalue()
     if code == 0:
         assert (err.getvalue(), [str(w.message) for w in caught]) == ("", [])
+
+
+def readme_value_spans(text: str) -> list:
+    """(start, stop) of each value token of a config text: each entry, or
+    each component of one, after a key's ` = `, but not the names in its
+    name=value tokens."""
+    spans = []
+    for line in re.finditer(r"^\w[^=\n]*= (.*)$", text, re.M):
+        for token in re.finditer(r"[^\s|,=]+=?", line.group(1)):
+            if not token.group().endswith("="):
+                spans.append((line.start(1) + token.start(), line.start(1) + token.end()))
+    return spans
+
+
+README_EXIT_CODES = (0, 2, 3, 4)  # and 5, which no config value may give
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    token=st.integers(min_value=0),
+    value=st.sampled_from(
+        ["", "nan", "inf", "-inf", "-1", "0", "-0", "1e309", "1e-320", "1e300", "1e-300",
+         "1.5e308", "0_3", "x", '"', "|", "0.5", "2", "99999999999999999999"]
+    ),
+)
+# the defects this guard found, by token of today's README config: a vertex
+# at 1e-320 (a simplex whose inverse overflows), ray lengths and steps whose
+# traces a coupled-mode check cannot fit (exit 5), a check tol whose stall
+# floor overflows (a traceback), and a vertex, ray origin or noise sigma at
+# 1.5e308 (overflow warnings)
+@example(token=2, value="1e-320")
+@example(token=17, value="0.5")
+@example(token=18, value="0.5")
+@example(token=22, value="0.5")
+@example(token=35, value="1e300")
+@example(token=1, value="1.5e308")
+@example(token=15, value="1.5e308")
+@example(token=24, value="1.5e308")
+def test_a_replaced_config_value_keeps_the_exit_code_table(token, value):
+    """One value token of the README config replaced: simulate, then detect
+    when simulate succeeds, exit with a code of the README's table other
+    than 5, print no traceback, and an exit-0 run says nothing beyond its
+    `wrote N trace(s)` line and warns nothing."""
+    with tempfile.TemporaryDirectory() as d:
+        cfg, text = readme_config(Path(d))
+        start, stop = readme_value_spans(text)[token % len(readme_value_spans(text))]
+        cfg.write_text(text[:start] + value + text[stop:])
+        traces = Path(d) / "traces.csv"
+        runs = [["simulate", "--config", str(cfg), "--out", str(traces)],
+                ["detect", "--config", str(cfg), "--traces", str(traces),
+                 "--out", str(Path(d) / "report.csv")]]
+        for argv in runs:
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
+                    redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = cli.main(argv)
+            assert code in README_EXIT_CODES, err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            assert [str(w.message) for w in caught] == []
+            if code != 0:
+                assert len(err.getvalue().splitlines()) == 1
+                break
+            assert re.fullmatch(r"(wrote \d+ trace\(s\) to .*\n)?", err.getvalue())
 
 
 def vertex_files(tmp_path, check: str, series, length: float):
@@ -591,12 +655,20 @@ def test_bad_flag_is_reported_before_a_vertices_error(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: --seed: expected an integer >= 0, got '-5'\n"
 
 
-def test_simulate_missing_config_exit_2(tmp_path, capsys):
-    code = cli.main(
-        ["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x.csv")]
-    )
+@pytest.mark.parametrize("make, message", [
+    (lambda cfg: None, "config file not found: {cfg}"),
+    (lambda cfg: cfg.mkdir(), "cannot read config file {cfg}: Is a directory"),
+    (lambda cfg: cfg.write_bytes(b"\xff" + ROD_CONFIG.encode()),
+     "cannot read config file {cfg}: 'utf-8' codec can't decode byte 0xff in position 0: "
+     "invalid start byte"),
+], ids=["missing", "directory", "not-utf8"])
+def test_simulate_missing_config_exit_2(make, message, tmp_path, capsys):
+    """A config path that cannot be read as text is a config error naming it."""
+    cfg = tmp_path / "nope.cfg"
+    make(cfg)
+    code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
     assert code == 2
-    assert "not found" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: " + message.format(cfg=cfg) + "\n"
 
 
 def test_simulate_degenerate_geometry_exit_3(tmp_path, capsys):
@@ -649,6 +721,30 @@ def test_rod_near_the_float_range_runs_quietly(tmp_path, capsys):
         assert cli.main(["detect", "--config", str(cfg), "--traces", str(traces),
                          "--out", str(tmp_path / "report.csv")]) == 0
     assert capsys.readouterr().out == "interface_hits=1 vertex_hits=0\n"
+
+
+def test_acoustic_rod_whose_impedance_ratio_squares_past_the_float_range(
+        acoustic, tmp_path, capsys):
+    """(q + 1)^2 for q = 2e173 raised OverflowError in the media's T_I and
+    in the candidate's: simulate and detect ended in a traceback."""
+    acoustic.write_text(
+        ACOUSTIC_CONFIG.replace("z=1.0", "z=5e-324").replace("z=4.0", "z=1e-150")
+        .replace("candidates = 1.0,4.0", "candidates = 5e-324,1e-150")
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert simulate_then_detect(acoustic, tmp_path) == 0
+    assert capsys.readouterr().out == "interface_hits=1 vertex_hits=0\n"
+
+
+def test_fwm_check_of_acoustic_media_exit_2(acoustic, tmp_path, capsys):
+    """It exited 5 at detect with 'expected an EM trace'."""
+    acoustic.write_text(ACOUSTIC_CONFIG + "\n[vertices]\ncheck.0 = criterion=fwm ray=0\n")
+    code = cli.main(["simulate", "--config", str(acoustic), "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "config error: line 18, col 10: check.0: fwm tests EM traces, got wave_kind acoustic\n"
+    )
 
 
 TINY_ROD = (
@@ -764,13 +860,70 @@ def test_detect_trace_ray_of_other_dimension_exit_4(rod, tmp_path, capsys):
     )
 
 
-def test_detect_missing_traces_exit_4(rod, tmp_path, capsys):
-    code = cli.main(
-        ["detect", "--config", str(rod), "--traces", str(tmp_path / "nope.csv"),
-         "--out", str(tmp_path / "r.csv")]
+def written_traces(rod, tmp_path):
+    traces = tmp_path / "traces.csv"
+    with redirect_stderr(io.StringIO()):
+        assert cli.main(["simulate", "--config", str(rod), "--out", str(traces)]) == 0
+    return traces
+
+
+def no_files(rod, tmp_path):
+    traces = tmp_path / "nope.csv"
+    return ["--traces", str(traces)], f"missing sidecar metadata file {sidecar_path(traces)}"
+
+
+def csv_gone(rod, tmp_path):
+    """A sidecar whose CSV is missing."""
+    traces = written_traces(rod, tmp_path)
+    traces.unlink()
+    return ["--traces", str(traces)], f"missing file {traces}"
+
+
+def csv_a_directory(rod, tmp_path):
+    """A directory D beside a sidecar D.meta.json."""
+    traces = written_traces(rod, tmp_path)
+    traces.unlink()
+    traces.mkdir()
+    return ["--traces", str(traces)], f"[Errno 21] Is a directory: '{traces}'"
+
+
+def sidecar_a_directory(rod, tmp_path):
+    traces = written_traces(rod, tmp_path)
+    sidecar_path(traces).unlink()
+    sidecar_path(traces).mkdir()
+    return ["--traces", str(traces)], f"[Errno 21] Is a directory: '{sidecar_path(traces)}'"
+
+
+def csv_not_utf8(rod, tmp_path):
+    traces = written_traces(rod, tmp_path)
+    traces.write_bytes(b"\xff" + traces.read_bytes())
+    return ["--traces", str(traces)], (
+        "garbled trace file: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte"
     )
+
+
+def out_a_directory(rod, tmp_path):
+    return (["--traces", str(written_traces(rod, tmp_path)), "--out", str(tmp_path)],
+            f"[Errno 21] Is a directory: '{tmp_path}'")
+
+
+@pytest.mark.parametrize("make", [
+    no_files, csv_gone, csv_a_directory, sidecar_a_directory, csv_not_utf8, out_a_directory,
+])
+def test_detect_missing_traces_exit_4(make, rod, tmp_path, capsys):
+    """A trace path that cannot be read, or a report path that cannot be
+    written, is one schema error line naming it."""
+    argv, message = make(rod, tmp_path)
+    code = cli.main(["detect", "--config", str(rod), "--out", str(tmp_path / "r.csv"), *argv])
     assert code == 4
-    assert "schema error" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"schema error: {message}\n"
+
+
+def test_simulate_to_a_directory_exit_4(rod, tmp_path, capsys):
+    code = cli.main(["simulate", "--config", str(rod), "--out", str(tmp_path)])
+    assert code == 4
+    assert capsys.readouterr().err == f"schema error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
 def test_detect_wave_kind_mismatch_exit_4(rod, acoustic, tmp_path, capsys):
@@ -958,6 +1111,13 @@ def test_coupler_spec_errors_exit_5(capsys):
     assert cli.main(["coupler", "x:1,2"]) == 5
     assert cli.main(["coupler", "d:1,2,3"]) == 5  # must start with a coupler
     assert cli.main(["coupler", "c:0.3,1.0", "--input", "1"]) == 5
+    capsys.readouterr()
+    # two delays in a row: the second stands where a coupler must
+    assert cli.main(["coupler", "c:0.3,1", "d:1,0,0", "d:1,0,0", "c:0.3,1"]) == 5
+    assert capsys.readouterr().err == (
+        "spec error: expected a coupler stage, got "
+        "DelayStage(beta=1.0, length1=0.0, length2=0.0)\n"
+    )
 
 
 # ---------------------------------------------------------------------------

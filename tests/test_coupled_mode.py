@@ -96,6 +96,10 @@ def test_default_step_used_when_omitted():
     p = CoupledModeParams(beta1=2.0, beta2=2.0, kappa12=0.1, kappa21=0.1)
     traj = integrate_coupled_modes(p, 1.0)
     assert traj.z_grid[1] == pytest.approx(1e-3 * 2 * math.pi / 2.0)
+    # with every rate zero there is no beat period: 1000 steps of z_max / 1000
+    traj = integrate_coupled_modes(CoupledModeParams(0.0, 0.0), 1.0)
+    assert len(traj.z_grid) == 1001
+    assert traj.z_grid[1] == 1.0 / 1000.0
 
 
 def scalar_rk4_reference(p, z_max, step, a0, b0):

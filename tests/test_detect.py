@@ -43,6 +43,7 @@ from polywave.detect import (
     synthesize_ray_trace,
     _levenberg_marquardt,
     _march,
+    _step_coefficients,
 )
 from polywave.fresnel import EmMedium
 from polywave.fwm import GainModel, degenerate_gain
@@ -161,6 +162,69 @@ def test_acoustic_rod_intensity_steps():
     nz = np.flatnonzero(tr.reflected)
     assert len(nz) == 1
     assert tr.reflected[nz[0]] == pytest.approx(0.36, abs=1e-15)
+
+
+def reference_segment_values(wave_kind, values):
+    """The per-crossing loop before the product form, kept as an oracle:
+    one complex product per crossing, (t, r) cached per pair of values."""
+    coeffs = {}
+    seg_value = [1.0 + 0j]
+    refl_at_crossing = []
+    for pair in zip(values, values[1:]):
+        if pair not in coeffs:
+            coeffs[pair] = _step_coefficients(wave_kind, *pair)
+        t_c, r_c = coeffs[pair]
+        cur = seg_value[-1]
+        refl_at_crossing.append(r_c * cur)
+        seg_value.append(t_c * cur)
+    return np.asarray(seg_value, dtype=complex), np.asarray(refl_at_crossing, dtype=complex)
+
+
+# media values of either kind, with contrasts far past the float range's
+# square root, where two crossings underflow the amplitude or intensity
+SEGMENT_MEDIA = (1.0, 1.5, 2.0, 4.0, 0.3, 1e-150, 1e150, 5e-324, 1.7976931348623157e308)
+
+
+@st.composite
+def rods_of_media(draw):
+    """A wave kind and the media values of a rod's segments, in order."""
+    wave_kind = draw(st.sampled_from(["em", "acoustic"]))
+    palette = draw(st.lists(st.sampled_from(SEGMENT_MEDIA), min_size=1, max_size=4, unique=True))
+    return wave_kind, draw(st.lists(st.sampled_from(palette), min_size=1, max_size=300))
+
+
+def bits(a):
+    return np.asarray(a, dtype=complex).view(np.uint64)
+
+
+@settings(deadline=None, max_examples=60)
+@given(rods_of_media())
+# 2,000 crossings between impedances 1 and 4 (T_I = 0.64 each) take the
+# intensity down through the subnormals; an EM index falling by equal
+# ratios from the top of the float range to the bottom takes the amplitude
+# past it, where the complex products give inf + nan j, then nan + nan j
+@example(("acoustic", [1.0, 4.0] * 1000))
+@example(("em", np.exp(np.linspace(math.log(1e308), math.log(1e-323), 30000)).tolist()))
+def test_segment_values_equal_the_per_crossing_loop_bit_for_bit(case):
+    """On a rod of half-unit segments sampled every 0.1, each segment's
+    samples carry its value and the sample before each crossing its
+    reflected value, bit for bit those of the per-crossing loop."""
+    wave_kind, values = case
+    n = len(values)
+    c = build_complex(1, [(0.5 * i,) for i in range(n + 1)], [(i, i + 1) for i in range(n)],
+                      media={i: i for i in range(n)})
+    medium = EmMedium if wave_kind == "em" else (lambda v: AcousticMedium(v, 1.0))
+    ray = Ray(origin=(0.0,), direction=(1.0,), length=0.5 * n - 0.05, grid_step=0.1)
+    tr = synthesize_ray_trace(c, {i: medium(v) for i, v in enumerate(values)}, ray)
+    cross_z, path = _march(c, ray)
+    assert path == list(range(n))
+    seg_value, refl_at_crossing = reference_segment_values(wave_kind, values)
+    seg_of = np.searchsorted(cross_z, tr.z, side="right")
+    assert set(seg_of.tolist()) == set(range(n))  # every segment is sampled
+    assert np.array_equal(bits(tr.incident), bits(seg_value[seg_of]))
+    reflected = np.zeros(len(tr.z), dtype=complex)
+    np.add.at(reflected, np.searchsorted(tr.z, cross_z, side="left") - 1, refl_at_crossing)
+    assert np.array_equal(bits(tr.reflected), bits(reflected))
 
 
 def test_ray_outside_complex():
@@ -438,6 +502,12 @@ def test_media_validation():
         )
     with pytest.raises(ValueError):
         synthesize_ray_trace(rod_complex(), {0: EmMedium(1.0)}, ROD_RAY)
+    with pytest.raises(ValueError, match="^media must be EmMedium or AcousticMedium records$"):
+        synthesize_ray_trace(
+            rod_complex(),
+            {0: AcousticMedium(1.0, 1.0), 1: AcousticMedium(4.0, 1.0), 2: 4.0},
+            ROD_RAY,
+        )
 
 
 def test_ray_validation():

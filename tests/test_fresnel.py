@@ -38,6 +38,9 @@ def test_nonpositive_index_rejected():
         amplitude_coefficients_normal(0.0, 1.0)
     with pytest.raises(NonPositiveIndex):
         amplitude_coefficients_normal(1.0, -2.0)
+    c = amplitude_coefficients_normal(1.0, 1.5)
+    with pytest.raises(NonPositiveIndex, match=r"^indices must be > 0, got n1=0, n2=1.5$"):
+        energy_residual(c, 0, 1.5)
 
 
 def test_energy_residual_examples():
