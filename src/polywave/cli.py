@@ -250,8 +250,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"schema error: missing file {exc.filename}", file=sys.stderr)
         return EXIT_SCHEMA
-    # an OSError: a trace, report or output path that cannot be opened, read or written
     except (OSError, traceio.SchemaMismatch) as exc:
+        # an OSError: a trace, report or output path that cannot be opened, read or written
         print(f"schema error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (cm.MalformedSpec, ValueError) as exc:

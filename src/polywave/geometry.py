@@ -225,9 +225,9 @@ def build_complex(
     m = np.ones((len(canonical), dimension + 1, dimension + 1))
     m[:, 1:, :] = corners.transpose(0, 2, 1)
     inverse = np.linalg.inv(m)
-    narrow = np.flatnonzero(~np.isfinite(inverse).all(axis=(1, 2)))
-    if narrow.size:  # its inverse overflows: narrower than about 1e-308
-        raise GeometryError(f"simplex {canonical[narrow[0]]} is too narrow for the float range")
+    beyond = np.flatnonzero(~np.isfinite(inverse).all(axis=(1, 2)))
+    if beyond.size:  # narrower than about 1e-308, or too small for its distance from 0
+        raise GeometryError(f"simplex {canonical[beyond[0]]} has barycentrics past the float range")
     grad = _scaled(inverse[:, :, 1:], 2)
     normal = grad / np.linalg.norm(grad, axis=2, keepdims=True)
 

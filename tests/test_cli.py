@@ -526,7 +526,8 @@ def test_a_replaced_config_value_keeps_the_exit_code_table(token, value):
     `wrote N trace(s)` line and warns nothing."""
     with tempfile.TemporaryDirectory() as d:
         cfg, text = readme_config(Path(d))
-        start, stop = readme_value_spans(text)[token % len(readme_value_spans(text))]
+        spans = readme_value_spans(text)
+        start, stop = spans[token % len(spans)]
         cfg.write_text(text[:start] + value + text[stop:])
         traces = Path(d) / "traces.csv"
         runs = [["simulate", "--config", str(cfg), "--out", str(traces)],

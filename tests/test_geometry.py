@@ -137,6 +137,12 @@ LINE = [(0.0,), (1.0,)]
     # be an error here, and the old text called the simplex flat
     (1, [(-1e308,), (1e308,), (1.5e308,)], [(0, 1), (1, 2)], GeometryError,
      "simplex (0, 1) spans more than the float range"),
+    # the inverse overflows: it left inf in the inverse and nan normals (with
+    # a warning), or wrong normals without one
+    (1, [(0.0,), (1e-320,), (1.0,)], [(0, 1), (1, 2)], GeometryError,
+     "simplex (0, 1) has barycentrics past the float range"),
+    (2, [(1e300, 1e300), (1e300 + 1e285, 1e300), (1e300, 1e300 + 1e285)], [(0, 1, 2)],
+     GeometryError, "simplex (0, 1, 2) has barycentrics past the float range"),
     (1, [], [(0, 1)], GeometryError, "empty vertex list"),
     (1, LINE, [], GeometryError, "empty simplex list"),
 ])
